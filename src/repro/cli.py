@@ -708,13 +708,10 @@ def cmd_resilient_run(args) -> int:
 def _resilient_smoke(args) -> int:
     """Seeded fault-injection check: faulted runs must equal fault-free."""
     from repro.chem.datasets import build_benchmark
+    from repro.cluster.parallel import run_parallel
     from repro.core.chunked import run_chunked
-    from repro.runtime import (
-        COMPLETE,
-        FaultPlan,
-        run_parallel_resilient,
-        run_resilient,
-    )
+    from repro.pipeline.policies import RetryPolicy
+    from repro.runtime import COMPLETE, FaultPlan, run_resilient
 
     ds = build_benchmark(n_queries=5, n_data_graphs=24, seed=0)
     baseline = run_chunked(ds.queries, ds.data, chunk_size=6)
@@ -740,9 +737,9 @@ def _resilient_smoke(args) -> int:
         f"{serial.report.summary()}"
     )
 
-    pooled = run_parallel_resilient(
+    pooled = run_parallel(
         ds.queries, ds.data, n_workers=2, chunk_size=6,
-        fault_plan=plan, max_attempts=6,
+        retry=RetryPolicy(max_attempts=6), fault_plan=plan,
     )
     if pooled.status != COMPLETE or sorted(pooled.matched_pairs) != expected:
         failures.append(

@@ -19,12 +19,11 @@ so the harness reads like the MPI driver it replaces.
 """
 
 from repro.cluster.mpi_sim import RankResult, SimulatedCluster
-from repro.cluster.parallel import ParallelResult, run_parallel
+from repro.cluster.parallel import run_parallel
 from repro.cluster.partition import partition_static
 from repro.cluster.scaling import WeakScalingPoint, weak_scaling_sweep
 
 __all__ = [
-    "ParallelResult",
     "RankResult",
     "run_parallel",
     "SimulatedCluster",

@@ -14,19 +14,17 @@ Since the staged-pipeline refactor both drivers are thin adapters: a
 once, a :class:`~repro.pipeline.policies.ChunkingPolicy` cuts the data
 range, and a :class:`~repro.pipeline.aggregate.ResultAccumulator` folds
 the per-chunk results.  Outputs are bitwise-identical to the historical
-per-chunk-engine loop.
+per-chunk-engine loop.  Both return the one aggregate shape,
+:class:`~repro.pipeline.aggregate.AggregateResult`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
-from repro.core.join import FIND_ALL, JoinStats
-from repro.core.results import MatchRecord, MatchResult
+from repro.core.join import FIND_ALL
 from repro.graph.labeled_graph import LabeledGraph
-from repro.pipeline.aggregate import ResultAccumulator
+from repro.pipeline.aggregate import AggregateResult, ResultAccumulator
 from repro.pipeline.policies import ChunkingPolicy
 from repro.pipeline.session import MatcherSession
 
@@ -46,69 +44,13 @@ class BudgetInfeasible(ValueError):
         self.budget_bytes = budget_bytes
 
 
-@dataclass
-class ChunkedResult:
-    """Aggregated outcome of a chunked run.
-
-    Attributes
-    ----------
-    total_matches:
-        Sum over chunks (identical to an unchunked run).
-    n_chunks:
-        Chunks executed.
-    peak_memory_bytes:
-        Largest per-chunk engine footprint — the bound chunking buys.
-    matched_pairs:
-        Global ``(data_graph, query_graph)`` matched pairs.
-    chunk_results:
-        The underlying per-chunk results (data-graph indices are local to
-        each chunk; ``matched_pairs``/``embeddings`` are already globalized).
-    timings:
-        Summed per-phase timings across chunks.
-    stage_counts:
-        Summed per-phase invocation counts across chunks.
-    join_stats:
-        Summed join work counters across chunks.
-    """
-
-    total_matches: int = 0
-    n_chunks: int = 0
-    peak_memory_bytes: int = 0
-    matched_pairs: list[tuple[int, int]] = field(default_factory=list)
-    embeddings: list[MatchRecord] = field(default_factory=list)
-    chunk_results: list[MatchResult] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
-    stage_counts: dict[str, int] = field(default_factory=dict)
-    join_stats: JoinStats = field(default_factory=JoinStats)
-
-    @property
-    def total_seconds(self) -> float:
-        """Summed wall-clock across chunks."""
-        return sum(self.timings.values())
-
-
-def _finish(acc: ResultAccumulator) -> ChunkedResult:
-    """Materialize the accumulator into the public result shape."""
-    return ChunkedResult(
-        total_matches=acc.total_matches,
-        n_chunks=acc.n_chunks,
-        peak_memory_bytes=acc.peak_memory_bytes,
-        matched_pairs=acc.matched_pairs,
-        embeddings=acc.embeddings,
-        chunk_results=acc.chunk_results,
-        timings=acc.timings,
-        stage_counts=acc.stage_counts,
-        join_stats=acc.join_stats,
-    )
-
-
 def run_chunked(
     queries: list[LabeledGraph],
     data: list[LabeledGraph],
     chunk_size: int,
     mode: str = FIND_ALL,
     config: SigmoConfig | None = None,
-) -> ChunkedResult:
+) -> AggregateResult:
     """Run the pipeline on ``data`` in chunks of ``chunk_size`` graphs.
 
     Results are exactly those of one big run; only peak memory differs.
@@ -131,7 +73,7 @@ def run_chunked(
     for unit in ChunkingPolicy(chunk_size).units(0, len(data)):
         result = session.match(data[unit.start : unit.stop], mode=mode, reuse=False)
         acc.add_run(result, offset=unit.start)
-    return _finish(acc)
+    return acc.finish()
 
 
 def run_chunked_csrgo(
@@ -142,7 +84,7 @@ def run_chunked_csrgo(
     config: SigmoConfig | None = None,
     start_graph: int = 0,
     stop_graph: int | None = None,
-) -> ChunkedResult:
+) -> AggregateResult:
     """Chunked run over already-converted CSR-GO batches.
 
     Same aggregation (and bitwise-identical results) as
@@ -169,7 +111,7 @@ def run_chunked_csrgo(
             data.slice_graphs(unit.start, unit.stop), mode=mode, reuse=False
         )
         acc.add_run(result, offset=unit.start - start_graph)
-    return _finish(acc)
+    return acc.finish()
 
 
 def chunk_size_for_budget(

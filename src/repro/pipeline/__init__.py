@@ -16,7 +16,7 @@ Public surface:
 """
 
 from repro.core.join import JoinResult as JoinOutput
-from repro.pipeline.aggregate import ResultAccumulator, merge_join_stats
+from repro.pipeline.aggregate import AggregateResult, ResultAccumulator, merge_join_stats
 from repro.pipeline.artifacts import (
     ArtifactCache,
     CSRGOPair,
@@ -48,6 +48,7 @@ from repro.pipeline.stages import (
 )
 
 __all__ = [
+    "AggregateResult",
     "ArtifactCache",
     "CSRGOPair",
     "ChunkingPolicy",

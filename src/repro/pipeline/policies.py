@@ -7,10 +7,10 @@ combination each; here every knob is an object the thin adapters compose:
 * :class:`ChunkingPolicy` — split the data batch into memory-bounded
   chunks (``run_chunked``'s loop).
 * :func:`partition_slices` — the static per-worker block partitioning
-  shared by both process-pool drivers (identical blocks ⇒ bitwise-equal
+  of the process-pool driver (identical blocks ⇒ bitwise-equal
   aggregation regardless of worker count).
 * :class:`RetryPolicy` — attempt bounds + exponential backoff
-  (``run_parallel_resilient``'s schedule).
+  (``run_parallel``'s ``retry=`` schedule).
 * :class:`MemoryBudgetPolicy` — derive chunk sizes from a device pool
   and degrade on infeasibility (``run_resilient``'s sizing).
 * :class:`TruncationPolicy` — join-budget watchdog configuration.
@@ -65,7 +65,7 @@ class ChunkingPolicy(ExecutionPolicy):
 
 
 def partition_slices(n_items: int, n_workers: int) -> list[tuple[int, int]]:
-    """Static per-worker block partitioning, shared by both pool drivers.
+    """Static per-worker block partitioning of the process-pool driver.
 
     Blocks are ``ceil(n_items / n_workers)`` wide, so the cut points —
     and therefore the aggregation order — are a pure function of the

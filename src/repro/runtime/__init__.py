@@ -10,15 +10,17 @@ resilient runtime:
 * :mod:`~repro.runtime.resilient` — chunked execution with graceful
   memory degradation (OOM → smaller chunks, bounded retries), the join
   watchdog (truncate + resume token), and checkpoint/resume;
-* :mod:`~repro.runtime.parallel` — the fault-tolerant pool driver
-  (crash/OOM retry with exponential backoff, broken-pool recovery,
-  bitwise-equal to serial);
 * :mod:`~repro.runtime.checkpoint` — atomic, checksummed chunk
   persistence;
 * :mod:`~repro.runtime.faults` — seeded deterministic fault injection
   (OOMs, worker crashes, rank failures, stragglers, poison queries);
 * :mod:`~repro.runtime.telemetry` — per-attempt observability.
 
+The process-pool driver, :func:`repro.cluster.parallel.run_parallel`,
+takes the same :class:`~repro.runtime.faults.FaultPlan` plus a
+:class:`~repro.pipeline.policies.RetryPolicy` (crash/OOM retry with
+backoff, broken-pool recovery, bitwise-equal to serial); every driver
+returns one :class:`~repro.pipeline.aggregate.AggregateResult`.
 Rank-failure re-execution for the simulated MPI cluster lives with the
 cluster itself (:meth:`repro.cluster.mpi_sim.SimulatedCluster.run`
 accepts a :class:`~repro.runtime.faults.FaultPlan`).
@@ -34,12 +36,10 @@ from repro.runtime.faults import (
     RankFailure,
     WorkerCrash,
 )
-from repro.runtime.parallel import ParallelResilientResult, run_parallel_resilient
 from repro.runtime.resilient import (
     COMPLETE,
     PARTIAL,
     ChunkRecord,
-    ResilientResult,
     ResumeToken,
     combine_results,
     run_resilient,
@@ -60,15 +60,12 @@ __all__ = [
     "JoinBudget",
     "NO_FAULTS",
     "PARTIAL",
-    "ParallelResilientResult",
     "PoisonQuery",
     "RankFailure",
-    "ResilientResult",
     "ResumeToken",
     "RunReport",
     "WorkerCrash",
     "combine_results",
-    "run_parallel_resilient",
     "run_resilient",
     "workload_fingerprint",
 ]

@@ -30,18 +30,24 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.config import SigmoConfig
 from repro.core.engine import SigmoEngine
-from repro.core.join import FIND_ALL, JoinBudget, JoinStats
+from repro.core.join import FIND_ALL, JoinBudget
 from repro.core.results import MatchRecord
 from repro.device.memory import DeviceMemoryPool, DeviceOutOfMemory, sigmo_footprint_bytes
 from repro.graph.labeled_graph import LabeledGraph
 from repro.io.serialization import graphs_fingerprint, sha256_bytes
 from repro.obs.trace import get_tracer
-from repro.pipeline.aggregate import ResultAccumulator, join_stats_dict
+from repro.pipeline.aggregate import (
+    COMPLETE,
+    PARTIAL,
+    AggregateResult,
+    ResultAccumulator,
+    join_stats_dict,
+)
 from repro.pipeline.policies import MemoryBudgetPolicy
 from repro.runtime import telemetry
 from repro.runtime.checkpoint import (
@@ -52,10 +58,6 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.faults import FaultPlan
 from repro.runtime.telemetry import Attempt, RunReport
-
-#: Run statuses.
-COMPLETE = "complete"
-PARTIAL = "partial"
 
 #: Chunk-record statuses (superset of the checkpoint statuses).
 CHUNK_OK = STATUS_OK
@@ -109,37 +111,7 @@ class ChunkRecord:
     detail: str = ""
 
 
-@dataclass
-class ResilientResult:
-    """Aggregated outcome of a resilient run.
-
-    ``matched_pairs`` / ``embeddings`` use global data-graph indices and
-    are ordered by data graph exactly like a serial
-    :func:`~repro.core.chunked.run_chunked` run — degradation and
-    recovery never reorder results.
-    """
-
-    status: str = COMPLETE
-    total_matches: int = 0
-    n_chunks: int = 0
-    chunks_from_checkpoint: int = 0
-    peak_memory_bytes: int = 0
-    matched_pairs: list[tuple[int, int]] = field(default_factory=list)
-    embeddings: list[MatchRecord] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
-    stage_counts: dict[str, int] = field(default_factory=dict)
-    join_stats: JoinStats = field(default_factory=JoinStats)
-    chunk_records: list[ChunkRecord] = field(default_factory=list)
-    report: RunReport = field(default_factory=RunReport)
-    resume_token: ResumeToken | None = None
-
-    @property
-    def total_seconds(self) -> float:
-        """Summed engine wall-clock across all executed segments."""
-        return sum(self.timings.values())
-
-
-def combine_results(*results: ResilientResult) -> ResilientResult:
+def combine_results(*results: AggregateResult) -> AggregateResult:
     """Merge a partial run with its token-resumed remainder(s).
 
     Matched pairs are re-sorted globally, so the combination equals a
@@ -148,40 +120,32 @@ def combine_results(*results: ResilientResult) -> ResilientResult:
     has been discharged by a later result completing its range and no
     chunk is left failed/infeasible.
     """
-    out = ResilientResult()
     acc = ResultAccumulator()
-    completed_ranges: set[tuple[int, int]] = set()
+    report = RunReport()
+    records: list[ChunkRecord] = []
     for result in results:
-        out.chunk_records.extend(result.chunk_records)
-        out.report.attempts.extend(result.report.attempts)
-        out.chunks_from_checkpoint += result.chunks_from_checkpoint
+        records.extend(result.chunk_records)
+        report.attempts.extend(result.report.attempts)
         acc.add_aggregate(result)
-        completed_ranges.update(
-            (rec.start, rec.stop)
-            for rec in result.chunk_records
-            if rec.status == CHUNK_OK
-        )
-    out.total_matches = acc.total_matches
-    out.n_chunks = acc.n_chunks
-    out.peak_memory_bytes = acc.peak_memory_bytes
-    out.matched_pairs = acc.matched_pairs
-    out.embeddings = acc.embeddings
-    out.timings = acc.timings
-    out.stage_counts = acc.stage_counts
-    out.join_stats = acc.join_stats
-    out.chunk_records.sort(key=lambda r: (r.start, r.stop, r.resume_pair or 0))
-    out.matched_pairs.sort()
-    out.embeddings.sort(key=lambda rec: (rec.data_graph, rec.query_graph))
+    completed_ranges = {
+        (rec.start, rec.stop) for rec in records if rec.status == CHUNK_OK
+    }
+    records.sort(key=lambda r: (r.start, r.stop, r.resume_pair or 0))
+    acc.matched_pairs.sort()
+    acc.embeddings.sort(key=lambda rec: (rec.data_graph, rec.query_graph))
+    token = None
     for result in results:
-        token = result.resume_token
-        if token is not None and (token.start, token.stop) not in completed_ranges:
-            out.status = PARTIAL
-            out.resume_token = token
-    if any(
-        rec.status in (CHUNK_FAILED, CHUNK_INFEASIBLE) for rec in out.chunk_records
-    ):
-        out.status = PARTIAL
-    return out
+        pending = result.resume_token
+        if pending is not None and (pending.start, pending.stop) not in completed_ranges:
+            token = pending
+    bad = any(rec.status in (CHUNK_FAILED, CHUNK_INFEASIBLE) for rec in records)
+    return acc.finish(
+        status=PARTIAL if token is not None or bad else COMPLETE,
+        chunk_records=records,
+        chunks_from_checkpoint=sum(rec.from_checkpoint for rec in records),
+        resume_token=token,
+        report=report,
+    )
 
 
 def workload_fingerprint(
@@ -245,8 +209,13 @@ def run_resilient(
     checkpoint: CheckpointStore | str | Path | None = None,
     fault_plan: FaultPlan | None = None,
     resume_token: ResumeToken | dict | None = None,
-) -> ResilientResult:
+) -> AggregateResult:
     """Run the pipeline over ``data`` with fault-tolerant chunking.
+
+    The returned ``matched_pairs`` / ``embeddings`` use global data-graph
+    indices, ordered by data graph exactly like a serial
+    :func:`~repro.core.chunked.run_chunked` run — degradation and
+    recovery never reorder results.
 
     Parameters
     ----------
@@ -299,9 +268,10 @@ def run_resilient(
             capacity_bytes=memory_budget_bytes, reserve_fraction=0.0
         )
 
-    result = ResilientResult()
+    report = RunReport()
+    records: list[ChunkRecord] = []
     if chunk_size is None:
-        chunk_size = _auto_chunk_size(queries, data, pool, config, result.report)
+        chunk_size = _auto_chunk_size(queries, data, pool, config, report)
 
     store = checkpoint
     if store is not None and not isinstance(store, CheckpointStore):
@@ -320,7 +290,7 @@ def run_resilient(
         if resume_token is not None and stop <= resume_token.start:
             continue  # the earlier partial result already holds this range
         payloads[(start, stop, 0)] = payload
-        result.chunk_records.append(
+        records.append(
             ChunkRecord(
                 start=start,
                 stop=stop,
@@ -330,8 +300,7 @@ def run_resilient(
                 from_checkpoint=True,
             )
         )
-        result.chunks_from_checkpoint += 1
-        result.report.record(
+        report.record(
             Attempt(
                 unit=f"chunk[{start}:{stop}]",
                 attempt=0,
@@ -341,10 +310,10 @@ def run_resilient(
         )
 
     queue = deque(tasks)
-    stopped_on_token = False
-    while queue:
+    token = None
+    while queue and token is None:
         task = queue.popleft()
-        outcome = _run_task(
+        token = _run_task(
             task,
             queries,
             data,
@@ -356,38 +325,28 @@ def run_resilient(
             on_truncate,
             max_attempts,
             store,
-            result,
+            report,
+            records,
             payloads,
             queue,
         )
-        if outcome == "token-stop":
-            stopped_on_token = True
-            break
 
     # Assemble in range order (ties broken by pair progress) — identical
     # to an uninterrupted serial chunked run.
     acc = ResultAccumulator()
     for key in sorted(payloads):
         acc.add_payload(payloads[key])
-    result.total_matches = acc.total_matches
-    result.matched_pairs = acc.matched_pairs
-    result.embeddings = acc.embeddings
-    result.timings = acc.timings
-    result.stage_counts = acc.stage_counts
-    result.join_stats = acc.join_stats
-    result.peak_memory_bytes = acc.peak_memory_bytes
-    result.n_chunks = acc.n_chunks
     if pool is not None:
-        result.peak_memory_bytes = max(result.peak_memory_bytes, pool.peak)
-    bad = [
-        rec
-        for rec in result.chunk_records
-        if rec.status in (CHUNK_FAILED, CHUNK_INFEASIBLE)
-    ]
-    if stopped_on_token or bad:
-        result.status = PARTIAL
-    result.chunk_records.sort(key=lambda r: (r.start, r.stop, r.resume_pair or 0))
-    return result
+        acc.peak_memory_bytes = max(acc.peak_memory_bytes, pool.peak)
+    bad = any(rec.status in (CHUNK_FAILED, CHUNK_INFEASIBLE) for rec in records)
+    records.sort(key=lambda r: (r.start, r.stop, r.resume_pair or 0))
+    return acc.finish(
+        status=PARTIAL if token is not None or bad else COMPLETE,
+        chunk_records=records,
+        chunks_from_checkpoint=sum(rec.from_checkpoint for rec in records),
+        resume_token=token,
+        report=report,
+    )
 
 
 def _auto_chunk_size(
@@ -493,11 +452,16 @@ def _run_task(
     on_truncate: str,
     max_attempts: int,
     store: CheckpointStore | None,
-    result: ResilientResult,
+    report: RunReport,
+    records: list[ChunkRecord],
     payloads: dict[tuple[int, int, int], ChunkPayload],
     queue: deque,
-) -> str:
-    """Execute one range with retries; returns ``"done"`` or ``"token-stop"``."""
+) -> ResumeToken | None:
+    """Execute one range with retries.
+
+    Returns the :class:`ResumeToken` when a ``"token"`` truncation stops
+    the run, else ``None``.
+    """
     unit = f"chunk[{task.start}:{task.stop}]"
     chunk = data[task.start : task.stop]
     span = task.stop - task.start
@@ -505,7 +469,7 @@ def _run_task(
 
     # A single graph that cannot ever fit is infeasible, not retryable.
     if pool is not None and span == 1 and sum(footprint.values()) > pool.capacity:
-        result.report.record(
+        report.record(
             Attempt(
                 unit=unit,
                 attempt=task.attempt,
@@ -514,7 +478,7 @@ def _run_task(
                 detail=f"footprint {sum(footprint.values())} > capacity {pool.capacity}",
             )
         )
-        result.chunk_records.append(
+        records.append(
             ChunkRecord(
                 start=task.start,
                 stop=task.stop,
@@ -523,7 +487,7 @@ def _run_task(
                 detail="graph footprint exceeds device capacity",
             )
         )
-        return "done"
+        return None
 
     started = time.perf_counter()
     # One runtime span per attempt; the engine's own spans nest inside it.
@@ -550,7 +514,7 @@ def _run_task(
     except DeviceOutOfMemory as exc:
         chunk_sp.set(outcome=telemetry.OOM)
         elapsed = time.perf_counter() - started
-        result.report.record(
+        report.record(
             Attempt(
                 unit=unit,
                 attempt=task.attempt,
@@ -562,7 +526,7 @@ def _run_task(
         )
         next_attempt = task.attempt + 1
         if next_attempt >= max_attempts:
-            result.chunk_records.append(
+            records.append(
                 ChunkRecord(
                     start=task.start,
                     stop=task.stop,
@@ -571,7 +535,7 @@ def _run_task(
                     detail=f"out of memory after {next_attempt} attempt(s)",
                 )
             )
-            return "done"
+            return None
         if span > 1 and task.next_pair == 0 and task.prior is None:
             # Exponential degradation: split the range in half.  Pair
             # tokens are range-relative, so ranges with partial progress
@@ -593,7 +557,7 @@ def _run_task(
                     prior=task.prior,
                 )
             )
-        return "done"
+        return None
 
     elapsed = time.perf_counter() - started
     if task.prior is not None:
@@ -608,7 +572,7 @@ def _run_task(
         segments=n_segments,
     )
     if payload.status == STATUS_TRUNCATED:
-        result.report.record(
+        report.record(
             Attempt(
                 unit=unit,
                 attempt=task.attempt,
@@ -618,7 +582,7 @@ def _run_task(
                 detail=f"resume at pair {payload.next_pair}",
             )
         )
-        result.chunk_records.append(
+        records.append(
             ChunkRecord(
                 start=task.start,
                 stop=task.stop,
@@ -632,12 +596,11 @@ def _run_task(
         payloads[(task.start, task.stop, task.next_pair)] = payload
         if store is not None:
             store.save_chunk(payload)
-        result.resume_token = ResumeToken(
+        return ResumeToken(
             start=task.start, stop=task.stop, next_pair=payload.next_pair
         )
-        return "token-stop"
 
-    result.report.record(
+    report.record(
         Attempt(
             unit=unit,
             attempt=task.attempt,
@@ -646,7 +609,7 @@ def _run_task(
             seconds=elapsed,
         )
     )
-    result.chunk_records.append(
+    records.append(
         ChunkRecord(
             start=task.start,
             stop=task.stop,
@@ -661,7 +624,7 @@ def _run_task(
     )
     if store is not None:
         store.save_chunk(payload)
-    return "done"
+    return None
 
 
 def _run_segments(

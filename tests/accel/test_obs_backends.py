@@ -1,5 +1,7 @@
 """Observability of the join backends: kernel spans and profile counters."""
 
+import re
+
 import pytest
 
 from repro.core.config import SigmoConfig
@@ -91,6 +93,11 @@ class TestProfileCounters:
         hist = profile.metrics.histograms["join.fused.pairs_per_table"]
         assert hist.count == jr.fused_tables
         assert hist.sum == sum(jr.fused_pairs_per_table)
+        # The report's pair count is the pairs carried, not the tables.
+        report = format_profile(profile)
+        printed = re.search(r"fused join: \d+ table\(s\), (\d+) pairs", report)
+        fused_pairs = profile.metrics.counters["join.backend_pairs.fused"]
+        assert int(printed.group(1)) == fused_pairs
 
     def test_fused_early_exit_histogram(self):
         # A label-uniform ring makes the path query's frontier span

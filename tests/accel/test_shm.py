@@ -1,8 +1,11 @@
 """Shared-memory CSR-GO transport: roundtrip, isolation, and parity."""
 
+from multiprocessing import shared_memory
+
 import numpy as np
 import pytest
 
+from repro.cluster import parallel
 from repro.cluster.parallel import run_parallel
 from repro.cluster.shm import (
     CSRGO_FIELDS,
@@ -15,6 +18,7 @@ from repro.core.chunked import run_chunked, run_chunked_csrgo
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
+from repro.runtime import FaultPlan
 
 pytestmark = pytest.mark.perf_accel
 
@@ -115,48 +119,82 @@ class TestChunkedCSRGO:
             run_chunked_csrgo(query, data, 2, start_graph=3, stop_graph=9)
 
 
+def embedding_keys(result):
+    return [
+        (e.data_graph, e.query_graph, tuple(e.mapping.tolist()))
+        for e in result.embeddings
+    ]
+
+
+def assert_bitwise_equal(result, expected):
+    assert result.total_matches == expected.total_matches
+    assert result.n_chunks == expected.n_chunks
+    assert result.matched_pairs == sorted(expected.matched_pairs)
+    assert embedding_keys(result) == embedding_keys(expected)
+    assert result.join_stats == expected.join_stats
+
+
+class _FailingShared:
+    def __init__(self, csrgo):
+        raise OSError("shared memory disabled for this test")
+
+
+class _RecordingShared(parallel.SharedCSRGO):
+    names: list[str] = []
+
+    def __init__(self, csrgo):
+        super().__init__(csrgo)
+        self.names.append(self.handle.name)
+
+
 class TestParallelSharedMemory:
-    def test_bitwise_equal_to_pickle_transport(self, bench):
+    def test_bitwise_equal_to_pickle_transport(self, bench, monkeypatch):
         config = SigmoConfig(record_embeddings=True)
-        pick = run_parallel(
-            bench.queries, bench.data, n_workers=3, chunk_size=9,
-            config=config, use_shared_memory=False,
-        )
         shm = run_parallel(
-            bench.queries, bench.data, n_workers=3, chunk_size=9,
-            config=config, use_shared_memory=True,
+            bench.queries, bench.data, n_workers=3, chunk_size=9, config=config
         )
-        assert pick.transport == "pickle"
+        monkeypatch.setattr(parallel, "SharedCSRGO", _FailingShared)
+        with pytest.warns(RuntimeWarning, match="falling back to pickle"):
+            pick = run_parallel(
+                bench.queries, bench.data, n_workers=3, chunk_size=9, config=config
+            )
         assert shm.transport == "shared-memory"
-        assert shm.total_matches == pick.total_matches
-        assert shm.n_chunks == pick.n_chunks
-        assert shm.matched_pairs == pick.matched_pairs
-        embs = lambda r: sorted(
-            (e.data_graph, e.query_graph, tuple(e.mapping.tolist()))
-            for e in r.embeddings
-        )
-        assert embs(shm) == embs(pick)
+        assert pick.transport == "pickle"
+        assert_bitwise_equal(pick, shm)
 
     def test_single_worker_in_process_path(self, bench):
-        serial = run_parallel(
-            bench.queries, bench.data, n_workers=1, chunk_size=9,
-            use_shared_memory=False,
-        )
-        shm = run_parallel(
-            bench.queries, bench.data, n_workers=1, chunk_size=9,
-            use_shared_memory=True,
-        )
+        serial = run_chunked(bench.queries, bench.data, 9)
+        shm = run_parallel(bench.queries, bench.data, n_workers=1, chunk_size=9)
         assert shm.transport == "shared-memory"
         assert shm.total_matches == serial.total_matches
 
     def test_find_first_mode(self, bench):
-        pick = run_parallel(
-            bench.queries, bench.data, n_workers=2, chunk_size=9,
-            mode="find-first", use_shared_memory=False,
-        )
+        serial = run_chunked(bench.queries, bench.data, 9, mode="find-first")
         shm = run_parallel(
-            bench.queries, bench.data, n_workers=2, chunk_size=9,
-            mode="find-first", use_shared_memory=True,
+            bench.queries, bench.data, n_workers=2, chunk_size=9, mode="find-first"
         )
-        assert shm.total_matches == pick.total_matches
-        assert shm.matched_pairs == pick.matched_pairs
+        assert shm.total_matches == serial.total_matches
+        assert shm.matched_pairs == sorted(serial.matched_pairs)
+
+    def test_hard_crash_recovers_and_unlinks_segments(self, bench, monkeypatch):
+        config = SigmoConfig(record_embeddings=True)
+        # 3 slices of 20 graphs, chunked by 10: the serial chunk cuts.
+        serial = run_chunked(bench.queries, bench.data, 10, config=config)
+        monkeypatch.setattr(_RecordingShared, "names", [])
+        monkeypatch.setattr(parallel, "SharedCSRGO", _RecordingShared)
+        result = run_parallel(
+            bench.queries,
+            bench.data,
+            n_workers=3,
+            chunk_size=10,
+            config=config,
+            fault_plan=FaultPlan(crash_at=((1, 0),), crash_hard=True),
+        )
+        assert result.status == "complete"
+        assert result.transport == "shared-memory"
+        assert any(a.detail == "process pool broken" for a in result.report.attempts)
+        assert_bitwise_equal(result, serial)
+        assert len(_RecordingShared.names) == 2
+        for name in _RecordingShared.names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)

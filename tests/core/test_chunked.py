@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.chunked import (
     BudgetInfeasible,
-    ChunkedResult,
     chunk_size_for_budget,
     run_chunked,
 )

@@ -1,12 +1,13 @@
-"""Cross-driver parity: one seeded workload, seven entry points, one answer.
+"""Cross-driver parity: one seeded workload, every entry point, one answer.
 
-The multi-layer refactor's acceptance criterion: every legacy driver —
+The multi-layer refactor's acceptance criterion: every driver —
 ``SigmoEngine.run``, ``run_chunked``, ``run_chunked_csrgo``,
-``run_resilient``, ``run_parallel``, ``run_parallel_resilient`` — is now a
-thin adapter over the one :class:`~repro.pipeline.PipelineExecutor`, and
-all of them (plus the executor invoked directly) must produce identical
-match sets, embeddings, summed :class:`~repro.core.join.JoinStats`, and —
-for drivers sharing a partition — identical ``stage_counts``.
+``run_resilient``, ``run_parallel`` (fault-free and under injected
+faults) — is a thin adapter over the one
+:class:`~repro.pipeline.PipelineExecutor`, and all of them (plus the
+executor invoked directly) must produce identical match sets,
+embeddings, summed :class:`~repro.core.join.JoinStats`, and — for drivers
+sharing a partition — identical ``stage_counts`` and ``n_chunks``.
 """
 
 import pytest
@@ -18,8 +19,8 @@ from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
 from repro.core.join import JoinStats
-from repro.pipeline import PipelineRequest, default_executor
-from repro.runtime.parallel import run_parallel_resilient
+from repro.pipeline import PipelineRequest, RetryPolicy, default_executor
+from repro.runtime.faults import FaultPlan
 from repro.runtime.resilient import run_resilient
 
 pytestmark = pytest.mark.pipeline
@@ -29,6 +30,9 @@ N_DATA = 30
 SEED = 7
 ITERATIONS = 3
 CHUNK = 10
+#: Soft and hard worker crashes: retried without changing any chunk cut
+#: (an OOM would halve the slice's chunk size and so its ``n_chunks``).
+CRASHES = FaultPlan(crash_at=((0, 0), (1, 0), (1, 1)), crash_hard=True)
 
 
 @pytest.fixture(scope="module")
@@ -107,14 +111,18 @@ class TestDriverParity:
         self.check(result, reference)
 
     def test_run_parallel_resilient(self, dataset, config, reference):
-        result = run_parallel_resilient(
+        """``run_parallel`` recovering from injected crashes."""
+        result = run_parallel(
             dataset.queries,
             dataset.data,
             n_workers=2,
             chunk_size=CHUNK,
             config=config,
+            retry=RetryPolicy(max_attempts=4),
+            fault_plan=CRASHES,
         )
         assert result.status == "complete"
+        assert result.report.n_retries > 0
         self.check(result, reference)
 
     def test_executor_direct(self, dataset, config, reference):
@@ -162,23 +170,28 @@ class TestSharedPartition:
         assert stats_tuple(pooled.join_stats) == stats_tuple(chunked.join_stats)
 
     def test_pool_vs_resilient_pool(self, dataset, config):
-        plain = run_parallel(
-            dataset.queries,
-            dataset.data,
-            n_workers=2,
-            chunk_size=CHUNK,
-            config=config,
-        )
-        resilient = run_parallel_resilient(
-            dataset.queries,
-            dataset.data,
-            n_workers=2,
-            chunk_size=CHUNK,
-            config=config,
-        )
-        assert resilient.matched_pairs == plain.matched_pairs
-        assert resilient.stage_counts == plain.stage_counts
-        assert stats_tuple(resilient.join_stats) == stats_tuple(plain.join_stats)
+        """Fault-free and crash-recovered pool runs equal serial chunking."""
+        chunked = run_chunked(dataset.queries, dataset.data, CHUNK, config=config)
+        runs = [
+            run_parallel(
+                dataset.queries,
+                dataset.data,
+                n_workers=3,
+                chunk_size=CHUNK,
+                config=config,
+                fault_plan=plan,
+            )
+            for plan in (None, CRASHES)
+        ]
+        for result in runs:
+            assert result.status == "complete"
+            assert result.matched_pairs == sorted(chunked.matched_pairs)
+            assert result.embeddings == chunked.embeddings
+            assert result.n_chunks == chunked.n_chunks
+            assert result.stage_counts == chunked.stage_counts
+            assert stats_tuple(result.join_stats) == stats_tuple(chunked.join_stats)
+        assert runs[0].report.n_retries == 0
+        assert runs[1].report.n_retries > 0
 
 
 class TestFindFirstParity:

@@ -8,6 +8,9 @@ iteration sweep flows through the session layer; and ``mode`` /
 ``join_budget`` pass through per call.
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.chem.datasets import build_benchmark
@@ -263,3 +266,22 @@ class TestConcurrentReuse:
             t.join()
         assert out["chain"] == full.total_matches
         assert out["full"] == full.total_matches
+
+
+class TestImportPath:
+    def test_session_import_stays_off_the_runtime(self):
+        # The session import counts in every cold start; the aggregate
+        # result type it pulls in must reference the runtime lazily.
+        probe = (
+            "import sys, repro, repro.pipeline.session; "
+            "print([m for m in ('repro.runtime', 'concurrent.futures.process') "
+            "if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "[]"

@@ -1,9 +1,11 @@
-"""Integration tests for the fault-tolerant pool driver."""
+"""Integration tests for the process-pool driver's fault handling."""
 
 import pytest
 
+from repro.cluster.parallel import run_parallel
 from repro.core.engine import SigmoEngine
-from repro.runtime import COMPLETE, PARTIAL, FaultPlan, run_parallel_resilient
+from repro.pipeline.policies import RetryPolicy
+from repro.runtime import COMPLETE, PARTIAL, FaultPlan
 
 pytestmark = pytest.mark.robustness
 
@@ -27,35 +29,36 @@ def assert_equals_serial(result, serial):
 class TestFaultFree:
     def test_matches_serial(self, workload, serial):
         queries, data = workload
-        result = run_parallel_resilient(queries, data, n_workers=3, chunk_size=5)
+        result = run_parallel(queries, data, n_workers=3, chunk_size=5)
         assert result.status == COMPLETE
         assert result.report.n_retries == 0
         assert_equals_serial(result, serial)
 
     def test_timings_and_chunks_aggregate(self, workload):
         queries, data = workload
-        result = run_parallel_resilient(queries, data, n_workers=3, chunk_size=5)
+        result = run_parallel(queries, data, n_workers=3, chunk_size=5)
         assert result.n_chunks == 6  # 3 slices of 8 graphs, chunked by 5
         assert "join" in result.timings and result.total_seconds > 0
 
     def test_validation(self, workload):
         queries, data = workload
         with pytest.raises(ValueError):
-            run_parallel_resilient(queries, [])
+            run_parallel(queries, [])
         with pytest.raises(ValueError):
-            run_parallel_resilient(queries, data, chunk_size=0)
+            run_parallel(queries, data, chunk_size=0)
         with pytest.raises(ValueError):
-            run_parallel_resilient(queries, data, max_attempts=0)
+            run_parallel(queries, data, retry=RetryPolicy(max_attempts=0))
         with pytest.raises(ValueError):
-            run_parallel_resilient(queries, data, backoff_factor=0.5)
+            run_parallel(queries, data, retry=RetryPolicy(backoff_factor=0.5))
 
 
 class TestRecovery:
     def test_soft_crashes_and_ooms_recovered(self, workload, serial):
         queries, data = workload
         plan = FaultPlan(seed=1, crash_rate=0.6, oom_rate=0.3, fault_attempts=2)
-        result = run_parallel_resilient(
-            queries, data, n_workers=3, chunk_size=5, fault_plan=plan, max_attempts=6
+        result = run_parallel(
+            queries, data, n_workers=3, chunk_size=5, fault_plan=plan,
+            retry=RetryPolicy(max_attempts=6),
         )
         assert result.status == COMPLETE
         assert result.report.n_retries > 0
@@ -64,8 +67,9 @@ class TestRecovery:
     def test_oom_halves_chunk_size(self, workload, serial):
         queries, data = workload
         plan = FaultPlan(oom_at=((0, 0), (0, 1)))
-        result = run_parallel_resilient(
-            queries, data, n_workers=3, chunk_size=8, fault_plan=plan, max_attempts=6
+        result = run_parallel(
+            queries, data, n_workers=3, chunk_size=8, fault_plan=plan,
+            retry=RetryPolicy(max_attempts=6),
         )
         assert result.status == COMPLETE
         sizes = [
@@ -77,8 +81,9 @@ class TestRecovery:
     def test_hard_crash_breaks_and_rebuilds_pool(self, workload, serial):
         queries, data = workload
         plan = FaultPlan(crash_at=((1, 0),), crash_hard=True)
-        result = run_parallel_resilient(
-            queries, data, n_workers=3, chunk_size=5, fault_plan=plan, max_attempts=6
+        result = run_parallel(
+            queries, data, n_workers=3, chunk_size=5, fault_plan=plan,
+            retry=RetryPolicy(max_attempts=6),
         )
         assert result.status == COMPLETE
         assert result.report.n_retries >= 1
@@ -88,8 +93,9 @@ class TestRecovery:
         queries, data = workload
         plan = FaultPlan(crash_at=((0, 0),), crash_hard=True)
         # single slice runs inline; a hard crash downgrades to a raise
-        result = run_parallel_resilient(
-            queries, data, n_workers=1, chunk_size=50, fault_plan=plan, max_attempts=3
+        result = run_parallel(
+            queries, data, n_workers=1, chunk_size=50, fault_plan=plan,
+            retry=RetryPolicy(max_attempts=3),
         )
         assert result.status == COMPLETE
         assert result.n_workers == 1
@@ -98,8 +104,9 @@ class TestRecovery:
     def test_exhausted_slice_goes_partial(self, workload):
         queries, data = workload
         plan = FaultPlan(crash_at=tuple((0, a) for a in range(10)))
-        result = run_parallel_resilient(
-            queries, data, n_workers=3, chunk_size=5, fault_plan=plan, max_attempts=3
+        result = run_parallel(
+            queries, data, n_workers=3, chunk_size=5, fault_plan=plan,
+            retry=RetryPolicy(max_attempts=3),
         )
         assert result.status == PARTIAL
         assert (0, 8) in result.failed_slices
@@ -109,16 +116,18 @@ class TestRecovery:
     def test_backoff_schedule_recorded(self, workload):
         queries, data = workload
         plan = FaultPlan(crash_at=((0, 0), (0, 1)))
-        result = run_parallel_resilient(
+        result = run_parallel(
             queries,
             data,
             n_workers=3,
             chunk_size=5,
             fault_plan=plan,
-            max_attempts=4,
-            backoff_base=0.001,
-            backoff_factor=2.0,
-            backoff_jitter=0.0,  # exact schedule without jitter
+            retry=RetryPolicy(
+                max_attempts=4,
+                backoff_base=0.001,
+                backoff_factor=2.0,
+                jitter=0.0,  # exact schedule without jitter
+            ),
         )
         delays = [
             a.backoff_seconds
@@ -136,17 +145,19 @@ class TestBackoffJitter:
         plan = FaultPlan(crash_at=((0, 0), (0, 1)))
 
         def run_once():
-            result = run_parallel_resilient(
+            result = run_parallel(
                 queries,
                 data,
                 n_workers=3,
                 chunk_size=5,
                 fault_plan=plan,
-                max_attempts=4,
-                backoff_base=0.001,
-                backoff_factor=2.0,
-                backoff_jitter=0.25,
-                backoff_seed=17,
+                retry=RetryPolicy(
+                    max_attempts=4,
+                    backoff_base=0.001,
+                    backoff_factor=2.0,
+                    jitter=0.25,
+                    seed=17,
+                ),
             )
             return [
                 a.backoff_seconds
@@ -162,8 +173,6 @@ class TestBackoffJitter:
         assert run_once() == first  # pure function of (seed, unit, attempt)
 
     def test_jitter_decorrelates_units(self):
-        from repro.pipeline.policies import RetryPolicy
-
         policy = RetryPolicy(
             max_attempts=4,
             backoff_base=0.001,
@@ -175,7 +184,5 @@ class TestBackoffJitter:
         assert len(delays) == 8  # no two units retry in lockstep
 
     def test_jitter_validation(self):
-        from repro.pipeline.policies import RetryPolicy
-
         with pytest.raises(ValueError):
             RetryPolicy(jitter=-0.1)
