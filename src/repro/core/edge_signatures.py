@@ -16,7 +16,9 @@ atoms/bonds contribute nothing (they can map to any pair).
 The pair vocabulary (``n_edge_labels x n_labels``) exceeds what a single
 64-bit masked word can hold, so this refinement uses saturated ``uint8``
 count matrices directly — on a GPU it would be a small fixed number of
-extra signature words per node.  Enabled via
+extra signature words per node.  Domination is evaluated by the same
+per-column threshold-row kernel as the label refinement
+(:func:`repro.core.filtering.and_domination_masks`).  Enabled via
 ``SigmoConfig(edge_signatures=True)``; the ablation bench measures what
 the extra pruning buys.
 """
@@ -27,7 +29,7 @@ import numpy as np
 
 from repro.core.candidates import CandidateBitmap
 from repro.core.csrgo import CSRGO
-from repro.utils.bitops import pack_bool_rows
+from repro.core.filtering import and_domination_masks
 
 #: Saturation cap for pair counts (molecular degree <= 6, so 15 is ample).
 PAIR_COUNT_CAP = 15
@@ -86,8 +88,9 @@ def refine_candidates_edge_aware(
 ) -> None:
     """One edge-aware refinement pass (radius 1), in place on the bitmap.
 
-    Mirrors ``refine_candidates``'s unique-signature grouping so the cost
-    is one data-side comparison per *distinct* query pair-histogram.
+    Uses ``refine_candidates``'s threshold-row kernel, so the cost is one
+    packed row per distinct (pair, query count) and no loop over distinct
+    query pair-histograms.
     """
     n_edge_labels = (
         int(
@@ -108,10 +111,4 @@ def refine_candidates_edge_aware(
     d_hist = edge_pair_histograms(data, n_labels, n_edge_labels)
     sat_q = np.minimum(q_hist, PAIR_COUNT_CAP).astype(np.uint8)
     sat_d = np.minimum(d_hist, PAIR_COUNT_CAP).astype(np.uint8)
-    unique_sigs, inverse = np.unique(sat_q, axis=0, return_inverse=True)
-    for sig_idx in range(unique_sigs.shape[0]):
-        sig = unique_sigs[sig_idx]
-        ok = np.all(sat_d >= sig, axis=1)
-        packed = pack_bool_rows(ok[None, :], bitmap.word_bits)[0]
-        rows = np.nonzero(inverse == sig_idx)[0]
-        bitmap.words[rows] &= packed
+    and_domination_masks(bitmap.words, sat_q, sat_d, bitmap.word_bits)

@@ -11,10 +11,15 @@ Kernel-equivalent layout notes:
 * ``InitializeCandidates`` builds one boolean stripe per *label* and
   assigns it to every query node with that label, rather than looping the
   ``n_q x n_d`` product — same output as Alg. 1's kernel.
-* ``RefineCandidates`` groups query nodes by *unique saturated signature*:
-  all query nodes sharing a signature get the same data-node mask, computed
-  once.  On molecular queries this collapses hundreds of rows into a
-  handful of distinct signatures per iteration.
+* ``RefineCandidates`` splits domination by label.  Saturated counts are
+  small ``uint8`` values, so for each label the distinct thresholds the
+  query side uses each get one packed *threshold row* over the data
+  nodes (``sat_d[:, l] >= t``); a query node's mask is the AND, over its
+  labels, of the row its own count indexes.  Labels no query node counts
+  are skipped.  The work per iteration follows the number of
+  (label, threshold) pairs — at most 64 label fields times a few
+  thresholds — not the number of distinct signatures, which grows with
+  the radius into the hundreds on molecular queries.
 """
 
 from __future__ import annotations
@@ -131,6 +136,53 @@ def initialize_candidates(
     return bitmap
 
 
+@kernel(writes=("words",))
+def and_domination_masks(
+    words: np.ndarray, sat_q: np.ndarray, sat_d: np.ndarray, word_bits: int
+) -> int:
+    """AND every query row of ``words`` with its packed domination mask.
+
+    Data node ``d`` stays in row ``q`` iff ``sat_d[d, l] >= sat_q[q, l]``
+    for every column ``l``.  Per column, each distinct query threshold
+    ``t`` gets one packed row ``sat_d[:, l] >= t``; a query row's mask is
+    the AND, over columns, of the row its own threshold indexes (AND
+    commutes, so each column's gathered rows go straight into ``words``).
+    Columns whose only threshold is 0 are skipped, so the Python loop
+    runs once per column some query row counts: at most 64 label fields
+    for :func:`refine_candidates` (``SignaturePacking``), and for
+    :func:`repro.core.edge_signatures.refine_candidates_edge_aware` the
+    (edge label, neighbour label) pairs present in the query batch — at
+    most ``n_edge_labels * n_labels`` and at most twice the query edge
+    count.  At most one ``(thresholds, n_data)`` boolean block and one
+    ``(n_query, n_words)`` gathered block are live at a time.
+
+    Parameters
+    ----------
+    words:
+        Packed bitmap ``(n_query, n_words)``, refined in place.  Its tail
+        bits are never set (every packed row has them clear).
+    sat_q / sat_d:
+        Saturated count matrices ``(n_query, n_cols)`` and
+        ``(n_data, n_cols)``.
+    word_bits:
+        Bitmap word width.
+
+    Returns
+    -------
+    int
+        Number of packed threshold rows built (0 when nothing is refined).
+    """
+    n_rows = 0
+    if words.size == 0:
+        return n_rows
+    for col in xp.nonzero(xp.max(sat_q, axis=0))[0]:
+        thresholds, inverse = xp.unique(sat_q[:, col], return_inverse=True)
+        rows = pack_bool_rows(sat_d[None, :, col] >= thresholds[:, None], word_bits)
+        words[:] &= rows[inverse]
+        n_rows += thresholds.shape[0]
+    return n_rows
+
+
 @kernel(writes=("bitmap",))
 def refine_candidates(
     bitmap: CandidateBitmap,
@@ -157,25 +209,13 @@ def refine_candidates(
         raise ValueError("query_counts rows != bitmap query nodes")
     if sat_d.shape[0] != bitmap.n_data_nodes:
         raise ValueError("data_counts rows != bitmap data nodes")
-    # Group query nodes by identical saturated signature: one mask per
-    # distinct signature instead of one per query node.
-    unique_sigs, inverse = xp.unique(sat_q, axis=0, return_inverse=True)
-    tracer = get_tracer()
-    with tracer.span(
+    with get_tracer().span(
         "kernel:refine_candidates",
         category="kernel",
         work_items=bitmap.n_data_nodes,
-        signature_groups=int(unique_sigs.shape[0]),
-    ):
-        for sig_idx in range(unique_sigs.shape[0]):
-            # One work-group batch per distinct saturated signature.
-            with tracer.span(f"wg:sig-{sig_idx}", category="workgroup") as wg:
-                sig = unique_sigs[sig_idx]
-                ok = xp.all(sat_d >= sig, axis=1)
-                packed = pack_bool_rows(ok[None, :], bitmap.word_bits)[0]
-                rows = xp.nonzero(inverse == sig_idx)[0]
-                bitmap.words[rows] &= packed
-                wg.set(query_rows=int(rows.size), survivors=int(ok.sum()))
+    ) as sp:
+        n_rows = and_domination_masks(bitmap.words, sat_q, sat_d, bitmap.word_bits)
+        sp.set(threshold_rows=n_rows)
 
 
 class IterativeFilter:

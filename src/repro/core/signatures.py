@@ -20,10 +20,13 @@ here:
   candidate iff for every label ``sat(query count) <= sat(data count)``.
 
 The filter kernel compares signatures in their saturated-count form (a
-dense ``uint8`` matrix) because a broadcast ``>=`` over that layout is the
-fastest CPU equivalent of the paper's per-field comparison; the packed
-64-bit form is produced by the same class and the test suite proves the two
-agree bit-for-bit.
+dense ``uint8`` matrix), one label field at a time: per field, each
+distinct query count becomes one packed row of data nodes whose count
+reaches it, and a query node ANDs the rows of its own counts — the CPU
+equivalent of the paper's per-field comparison, at a cost set by the
+number of fields rather than of distinct signatures.  The packed 64-bit
+form is produced by the same class and the test suite proves the two agree
+bit-for-bit.
 """
 
 from __future__ import annotations

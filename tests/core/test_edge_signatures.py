@@ -5,9 +5,15 @@ import pytest
 
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
-from repro.core.edge_signatures import edge_pair_histograms
+from repro.core.edge_signatures import (
+    PAIR_COUNT_CAP,
+    edge_pair_histograms,
+    refine_candidates_edge_aware,
+)
 from repro.core.engine import SigmoEngine, find_all
+from repro.core.filtering import initialize_candidates
 from repro.graph.generators import path_graph, star_graph
+from repro.utils.bitops import pack_bool_rows
 from tests.conftest import random_case
 
 
@@ -45,6 +51,29 @@ class TestHistograms:
             ignore_edge_label=ANY_BOND_LABEL,
         )
         assert hist[0].sum() == 0  # both incident pairs involve a wildcard
+
+
+class TestRefineEdgeAware:
+    @pytest.mark.parametrize("word_bits", [8, 16, 32, 64])
+    def test_matches_per_pair_domination(self, rng, word_bits):
+        for _ in range(8):
+            qg, dg, _ = random_case(rng, max_data_nodes=40, n_edge_labels=3)
+            q = CSRGO.from_graphs([qg])
+            d = CSRGO.from_graphs([dg, qg])
+            n_labels = int(max(q.labels.max(), d.labels.max())) + 1
+            n_edge_labels = int(max(q.adj_edge_labels.max(), d.adj_edge_labels.max())) + 1
+            bitmap = initialize_candidates(q, d, word_bits)
+            pre = bitmap.to_bool()
+            sat_q = np.minimum(edge_pair_histograms(q, n_labels, n_edge_labels), PAIR_COUNT_CAP)
+            sat_d = np.minimum(edge_pair_histograms(d, n_labels, n_edge_labels), PAIR_COUNT_CAP)
+            expected = np.zeros_like(pre)
+            for qi in range(q.n_nodes):
+                for di in range(d.n_nodes):
+                    expected[qi, di] = pre[qi, di] and bool(np.all(sat_d[di] >= sat_q[qi]))
+
+            refine_candidates_edge_aware(bitmap, q, d, n_labels)
+
+            np.testing.assert_array_equal(bitmap.words, pack_bool_rows(expected, word_bits))
 
 
 class TestEngineIntegration:

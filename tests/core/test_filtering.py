@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.candidates import CandidateBitmap
 from repro.core.config import SigmoConfig
@@ -13,6 +15,7 @@ from repro.core.filtering import (
 )
 from repro.core.signatures import SignaturePacking
 from repro.graph.generators import path_graph, ring_graph
+from repro.utils.bitops import pack_bool_rows
 
 
 class TestInitializeCandidates:
@@ -61,6 +64,81 @@ class TestRefineCandidates:
             refine_candidates(bitmap, np.zeros((1, 2)), np.zeros((3, 2)), packing)
         with pytest.raises(ValueError):
             refine_candidates(bitmap, np.zeros((2, 2)), np.zeros((4, 2)), packing)
+
+
+@st.composite
+def refine_inputs(draw):
+    """A pre-refine bitmap plus raw counts and the packing that saturates them.
+
+    Covers every word width, data-node counts off the word boundary, a
+    query label column that is all zero, all-zero query signatures, a
+    single 8-bit label field (saturation at 255) and empty sides.
+    """
+    word_bits = draw(st.sampled_from([8, 16, 32, 64]))
+    if draw(st.booleans()):
+        packing = SignaturePacking.uniform(1, 8)
+    else:
+        packing = SignaturePacking.uniform(
+            draw(st.integers(1, 8)), draw(st.integers(1, 4))
+        )
+    n_labels = packing.n_labels
+    n_query = draw(st.integers(0, 12))
+    n_data = draw(st.integers(0, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    high = draw(st.sampled_from([2, 5, 300]))
+    q_counts = rng.integers(0, high, (n_query, n_labels))
+    q_counts *= rng.random((n_query, n_labels)) < 0.6
+    d_counts = rng.integers(0, high + 2, (n_data, n_labels))
+    zero_label = draw(st.integers(-1, n_labels - 1))
+    if zero_label >= 0:
+        q_counts[:, zero_label] = 0
+    if draw(st.booleans()):
+        q_counts[:] = 0
+    init = rng.random((n_query, n_data)) < 0.7
+    return CandidateBitmap.from_bool(init, word_bits), q_counts, d_counts, packing
+
+
+class TestRefineAgainstBruteForce:
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(refine_inputs())
+    def test_matches_per_pair_domination(self, case):
+        bitmap, q_counts, d_counts, packing = case
+        before = bitmap.words.copy()
+        pre = bitmap.to_bool()
+        sat_q = packing.saturate(q_counts)
+        sat_d = packing.saturate(d_counts)
+        expected = np.zeros_like(pre)
+        for q in range(bitmap.n_query_nodes):
+            for d in range(bitmap.n_data_nodes):
+                expected[q, d] = pre[q, d] and bool(np.all(sat_d[d] >= sat_q[q]))
+
+        refine_candidates(bitmap, q_counts, d_counts, packing)
+
+        # Bitwise, tail bits included: the packed reference has them clear.
+        np.testing.assert_array_equal(
+            bitmap.words, pack_bool_rows(expected, bitmap.word_bits)
+        )
+        tail = bitmap.n_data_nodes % bitmap.word_bits
+        if tail and bitmap.n_query_nodes:
+            assert not (bitmap.words[:, -1] >> tail).any()
+        if not sat_q.any():
+            np.testing.assert_array_equal(bitmap.words, before)
+
+    def test_kernel_span_counts_threshold_rows(self):
+        from repro.obs.trace import tracing
+
+        packing = SignaturePacking.uniform(3, 2)
+        bitmap = CandidateBitmap.from_bool(np.ones((3, 5), dtype=bool))
+        # Label 0: thresholds {0, 1, 2}; label 1: {3}; label 2 unused.
+        q_counts = np.array([[1, 3, 0], [2, 3, 0], [0, 3, 0]])
+        d_counts = np.full((5, 3), 3)
+        with tracing() as t:
+            refine_candidates(bitmap, q_counts, d_counts, packing)
+        (span,) = t.find("kernel:refine_candidates")
+        assert span.attrs["threshold_rows"] == 4
+        assert not any(s.name.startswith("wg:sig") for s in t.spans)
 
 
 class TestIterativeFilter:
