@@ -17,6 +17,7 @@ from repro.core.filtering import IterativeFilter, initialize_candidates
 from repro.core.join import run_join
 from repro.core.mapping import build_gmcr
 from repro.core.signatures import SignatureState
+from repro.pipeline.artifacts import derive_n_labels
 from repro.utils.bitops import pack_bool_rows
 
 
@@ -38,7 +39,8 @@ def test_bench_initialize_candidates(benchmark, small_engine):
 
 def test_bench_signature_step(benchmark, small_engine):
     def step():
-        state = SignatureState(small_engine.data, small_engine.n_labels)
+        n_labels = derive_n_labels(small_engine.query, small_engine.data, None)
+        state = SignatureState(small_engine.data, n_labels)
         state.run_to(3)
         return state.counts
 

@@ -33,6 +33,7 @@ from repro.core.filtering import IterativeFilter
 from repro.core.join import run_join
 from repro.core.join_bfs import run_bfs_join
 from repro.core.mapping import GMCR, build_gmcr
+from repro.pipeline.artifacts import derive_n_labels
 
 #: Ablations run on a subset so four extra pipeline runs stay cheap.
 N_QUERIES = 150
@@ -77,7 +78,7 @@ def run() -> ExperimentReport:
     data["filter_visits_ratio"] = ratio
 
     # 2. signature bit allocation (same total budget, uniform fields)
-    n_labels = engine.n_labels
+    n_labels = derive_n_labels(engine.query, engine.data, engine.config.wildcard_label)
     uniform_bits = tuple([64 // n_labels] * n_labels)
     skewed = deep.filter_result.total_candidates
     uniform = engine.run(
@@ -96,7 +97,7 @@ def run() -> ExperimentReport:
 
     # 3. GMCR mapping vs all-pairs join
     config = SigmoConfig(refinement_iterations=6)
-    filt = IterativeFilter(engine.query, engine.data, config, engine.n_labels).run()
+    filt = IterativeFilter(engine.query, engine.data, config).run()
     mapped = build_gmcr(filt.bitmap, engine.query, engine.data)
     unmapped = _full_gmcr(engine)
     join_mapped = run_join(

@@ -9,11 +9,11 @@ signature work per chunk.  This module implements that driver — the natural
 out-of-core extension of the paper's design, and the same decomposition the
 multi-GPU version uses across devices (section 5.4).
 
-Since the staged-pipeline refactor both drivers are thin adapters: a
+Both drivers are thin adapters: a
 :class:`~repro.pipeline.session.MatcherSession` compiles the query side
-once, a :class:`~repro.pipeline.policies.ChunkingPolicy` cuts the data
-range, and a :class:`~repro.pipeline.aggregate.ResultAccumulator` folds
-the per-chunk results.  Outputs are bitwise-identical to the historical
+once, a loop over ``range(start, stop, chunk_size)`` cuts the data range,
+and a :class:`~repro.pipeline.aggregate.ResultAccumulator` folds the
+per-chunk results.  Outputs are bitwise-identical to the historical
 per-chunk-engine loop.  Both return the one aggregate shape,
 :class:`~repro.pipeline.aggregate.AggregateResult`.
 """
@@ -25,7 +25,6 @@ from repro.core.csrgo import CSRGO
 from repro.core.join import FIND_ALL
 from repro.graph.labeled_graph import LabeledGraph
 from repro.pipeline.aggregate import AggregateResult, ResultAccumulator
-from repro.pipeline.policies import ChunkingPolicy
 from repro.pipeline.session import MatcherSession
 
 
@@ -70,9 +69,9 @@ def run_chunked(
         raise ValueError("at least one data graph is required")
     session = MatcherSession(queries, config=config)
     acc = ResultAccumulator()
-    for unit in ChunkingPolicy(chunk_size).units(0, len(data)):
-        result = session.match(data[unit.start : unit.stop], mode=mode, reuse=False)
-        acc.add_run(result, offset=unit.start)
+    for lo in range(0, len(data), chunk_size):
+        result = session.match(data[lo : lo + chunk_size], mode=mode, reuse=False)
+        acc.add_run(result, offset=lo)
     return acc.finish()
 
 
@@ -90,9 +89,7 @@ def run_chunked_csrgo(
     Same aggregation (and bitwise-identical results) as
     :func:`run_chunked`, but chunks are carved out of ``data`` with
     :meth:`~repro.core.csrgo.CSRGO.slice_graphs` — no per-graph Python
-    conversion — and engines are built with
-    :meth:`~repro.core.engine.SigmoEngine.from_csrgo`.  The shared-memory
-    cluster workers run their slice ``[start_graph, stop_graph)`` of the
+    conversion.  The shared-memory cluster workers run their slice ``[start_graph, stop_graph)`` of the
     mapped batch through this; reported data-graph indices are relative
     to ``start_graph``, matching :func:`run_chunked` over the same slice.
     """
@@ -106,11 +103,11 @@ def run_chunked_csrgo(
         )
     session = MatcherSession(query, config=config)
     acc = ResultAccumulator()
-    for unit in ChunkingPolicy(chunk_size).units(start_graph, stop):
+    for lo in range(start_graph, stop, chunk_size):
         result = session.match(
-            data.slice_graphs(unit.start, unit.stop), mode=mode, reuse=False
+            data.slice_graphs(lo, min(lo + chunk_size, stop)), mode=mode, reuse=False
         )
-        acc.add_run(result, offset=unit.start - start_graph)
+        acc.add_run(result, offset=lo - start_graph)
     return acc.finish()
 
 

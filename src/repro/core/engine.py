@@ -5,15 +5,16 @@
     queries, molecules ── CSR-GO ─▶ init candidates ─▶ (signatures ─▶
     refine) x s ─▶ GMCR mapping ─▶ stack-DFS join ─▶ matches
 
-Since the staged-pipeline refactor the engine is a thin adapter: ``run``
-builds a :class:`~repro.pipeline.executor.PipelineRequest` and hands it to
-the shared :class:`~repro.pipeline.executor.PipelineExecutor`, which owns
-the stage graph, the obs spans, the timers, and the contract checks.  The
-engine contributes what only it has: batches converted once at
-construction, a per-engine artifact cache (so truncated runs resumed via
+The engine is a thin adapter over the prepared-query session: ``run`` is
+a :meth:`~repro.pipeline.session.MatcherSession.match` of the engine's
+data batch, and the session hands both batches to
+:func:`~repro.pipeline.stages.run_pipeline`, which owns the obs spans,
+the timers, the contract checks and the label-space size.  The engine
+contributes what only it has: batches converted once at construction, a
+per-engine artifact cache (so truncated runs resumed via
 ``join_start_pair`` recall their ``FilterResult``/``GMCR`` instead of
-recomputing), and :meth:`session` to graduate to the prepared-query
-serving layer.
+recomputing), and :meth:`session` to share that cache with further
+sessions.
 
 Use :func:`find_all` / :func:`find_first` for one-shot convenience, or
 construct an engine to reuse the converted batches across runs (e.g. the
@@ -25,19 +26,14 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.analysis import contracts
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.join import FIND_ALL, FIND_FIRST, JoinBudget
 from repro.core.results import MatchResult
 from repro.graph.batch import GraphBatch
 from repro.graph.labeled_graph import LabeledGraph
-from repro.pipeline.artifacts import ArtifactCache, derive_n_labels
-from repro.pipeline.executor import (
-    PipelineRequest,
-    default_executor,
-    signature_bytes,
-)
+from repro.pipeline.artifacts import ArtifactCache
+from repro.pipeline.session import MatcherSession
 
 
 class SigmoEngine:
@@ -105,16 +101,13 @@ class SigmoEngine:
         return engine
 
     def _finish_init(self, query: CSRGO, data: CSRGO) -> None:
-        """Shared tail of both constructors: contracts + label-space size."""
+        """Shared tail of both constructors: the session over ``query``."""
         self.query = query
         self.data = data
-        if contracts.enabled():
-            contracts.check_csrgo(self.query, "query batch")
-            contracts.check_csrgo(self.data, "data batch")
-        self.n_labels = derive_n_labels(query, data, self.config.wildcard_label)
         # Per-engine stage-artifact cache: every run stores its
         # FilterResult/GMCR here, and resumed truncated runs recall them.
         self._artifacts = ArtifactCache()
+        self._session = MatcherSession(query, config=self.config, cache=self._artifacts)
 
     # -- public API -------------------------------------------------------------
 
@@ -150,22 +143,17 @@ class SigmoEngine:
             deterministic, so pair indices stay valid and results are
             identical to a full recompute.
         """
-        request = PipelineRequest(
-            query=self.query,
-            data=self.data,
-            config=config or self.config,
+        return self._session.match(
+            self.data,
             mode=mode,
+            config=config or self.config,
             join_budget=join_budget,
             join_start_pair=join_start_pair,
-            n_labels=self.n_labels,
-            cache=self._artifacts,
             # Plain runs recompute (storing as they go); only explicit
             # resumes reuse, so repeated `.run()` calls keep their
             # historical stage counts and traces.
-            reuse_artifacts=join_start_pair > 0,
-            validated=True,
+            reuse=join_start_pair > 0,
         )
-        return default_executor().execute(request)
 
     def run_iteration_sweep(
         self,
@@ -200,18 +188,9 @@ class SigmoEngine:
         and session matches over the same data batches recall each
         other's filter/GMCR artifacts.
         """
-        from repro.pipeline.session import MatcherSession
-
-        return MatcherSession.from_csrgo(
+        return MatcherSession(
             self.query, config=config or self.config, cache=self._artifacts
         )
-
-    # -- internals -----------------------------------------------------------------
-
-    @staticmethod
-    def _signature_bytes(filter_result) -> int:
-        """Bytes of the signature matrices (kept for back-compat; see executor)."""
-        return signature_bytes(filter_result)
 
 
 def find_all(

@@ -264,8 +264,8 @@ class IterativeFilter:
         and needs no BFS), and their frontiers are cached across iterations.
 
         The phase split (:meth:`initialize` / :meth:`refine`) exists for
-        the pipeline executor, which owns the ``stage:filter`` span and
-        runs the two halves as separate cacheable stages; calling ``run``
+        :func:`~repro.pipeline.stages.run_pipeline`, which owns the
+        ``stage:filter`` span and runs the two halves in it; calling ``run``
         directly produces the identical span/timer/result shape.
         """
         timer = timer or StageTimer()
@@ -284,7 +284,7 @@ class IterativeFilter:
 
         Returns a :class:`FilterResult` shell holding the initialized
         bitmap; :meth:`refine` completes it in place.  Opens no stage
-        span — the caller (``run`` or the executor) owns that.
+        span — the caller (``run`` or ``run_pipeline``) owns that.
         """
         timer = timer or StageTimer()
         tracer = get_tracer()

@@ -193,6 +193,65 @@ def validate_metrics(payload: dict[str, Any]) -> list[str]:
             problems.extend(_validate_histogram(name, h))
     if "context" in payload and not isinstance(payload["context"], dict):
         problems.append("context not an object")
+    if not problems:
+        problems.extend(_validate_cross_counters(payload["counters"], hists))
+    return problems
+
+
+def _validate_cross_counters(
+    counters: dict[str, Any], hists: dict[str, Any]
+) -> list[str]:
+    """Invariants between counters of one run; each needs all its keys.
+
+    * the join dispatched no more pairs than the GMCR holds:
+      Σ ``join.backend_pairs.*`` ≤ ``gmcr.pairs``;
+    * every fused pair rode exactly one fused table: the
+      ``join.fused.pairs_per_table`` histogram's ``count`` equals
+      ``join.fused.tables`` and its ``sum`` equals
+      ``join.backend_pairs.fused`` — or, when ``join.truncated`` is set,
+      is at least that (a table can carry pairs past the truncation
+      point, which the join then leaves unfolded);
+    * the filter stage ran once per refinement iteration:
+      ``engine.stage_count.filter`` equals ``engine.filter_iterations``,
+      or exceeds it by the one edge-aware pass of
+      ``SigmoConfig.edge_signatures``.
+    """
+    problems: list[str] = []
+    backend_pairs = {
+        k: v for k, v in counters.items() if k.startswith("join.backend_pairs.")
+    }
+    if backend_pairs and "gmcr.pairs" in counters:
+        dispatched = sum(backend_pairs.values())
+        if dispatched > counters["gmcr.pairs"]:
+            problems.append(
+                f"join.backend_pairs.* sum to {dispatched} > "
+                f"gmcr.pairs {counters['gmcr.pairs']}"
+            )
+    per_table = hists.get("join.fused.pairs_per_table")
+    if isinstance(per_table, dict):
+        fused = counters.get("join.backend_pairs.fused")
+        carried = per_table.get("sum")
+        if fused is not None and not (
+            carried >= fused if "join.truncated" in counters else carried == fused
+        ):
+            problems.append(
+                f"join.fused.pairs_per_table sum {carried} does not match "
+                f"join.backend_pairs.fused {fused}"
+            )
+        tables = counters.get("join.fused.tables")
+        if tables is not None and per_table.get("count") != tables:
+            problems.append(
+                f"join.fused.pairs_per_table count {per_table.get('count')} != "
+                f"join.fused.tables {tables}"
+            )
+    filter_runs = counters.get("engine.stage_count.filter")
+    iterations = counters.get("engine.filter_iterations")
+    if filter_runs is not None and iterations is not None:
+        if filter_runs - iterations not in (0, 1):
+            problems.append(
+                f"engine.stage_count.filter {filter_runs} != "
+                f"engine.filter_iterations {iterations}"
+            )
     return problems
 
 

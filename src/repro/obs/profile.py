@@ -13,7 +13,9 @@ Metric naming convention (dotted, lowercase):
 * ``engine.matches``, ``engine.stage_count.<stage>`` — counters.
 * ``kernel.<name>.{instructions,bytes_hbm,bytes_l2,bytes_l1,work_items}``
   — simulated work counters per kernel launch.
-* ``join.{candidate_visits,edge_checks,stack_pushes}`` — join stats.
+* ``join.{candidate_visits,edge_checks,stack_pushes}`` — join stats;
+  ``join.truncated`` — 1 when the join stopped at its budget (absent
+  otherwise).
 * ``join.backend_pairs.<backend>``, ``join.backend_visits.<backend>`` —
   per-join-backend dispatch split (``dfs`` / ``tabular`` / ``fused``;
   see :mod:`repro.accel`).
@@ -47,7 +49,7 @@ from repro.obs.metrics import MetricsRegistry
 DEFAULT_DEVICE = "nvidia-v100s"
 
 #: Stages whose wall-clock times make up the filter/map/join split.
-PIPELINE_STAGES = ("initialize_candidates", "filter", "mapping", "join")
+TIMED_STAGES = ("initialize_candidates", "filter", "mapping", "join")
 
 #: Minimum absolute growth (seconds) before a wall-clock gauge counts as a
 #: regression — relative tolerances are meaningless at microsecond scale.
@@ -108,7 +110,7 @@ def build_profile(
     m.count("gmcr.pairs", result.gmcr.n_pairs)
     stage_counts = getattr(result, "stage_counts", {}) or {}
     stages: list[dict[str, Any]] = []
-    for name in PIPELINE_STAGES:
+    for name in TIMED_STAGES:
         seconds = result.timings.get(name, 0.0)
         count = stage_counts.get(name, 1 if name in result.timings else 0)
         if name not in result.timings:
@@ -124,6 +126,8 @@ def build_profile(
     m.count("join.candidate_visits", js.candidate_visits)
     m.count("join.edge_checks", js.edge_checks)
     m.count("join.stack_pushes", js.stack_pushes)
+    if result.join_result.truncated:
+        m.count("join.truncated")
     if result.join_result.pair_matches is not None:
         m.histogram("join.pair_matches").observe_array(
             result.join_result.pair_matches

@@ -1,76 +1,36 @@
-"""Staged pipeline core: one executor, composable policies, sessions.
+"""The pipeline spine: one straight-line run function, sessions, aggregation.
 
 Public surface:
 
-* :class:`~repro.pipeline.executor.PipelineExecutor` /
-  :class:`~repro.pipeline.executor.PipelineRequest` — the single driver
-  every run entry point routes through.
-* :mod:`~repro.pipeline.stages` — the typed stage graph
-  (convert → init-candidates → refine → map → join).
-* :mod:`~repro.pipeline.artifacts` — explicit, checkpointable stage
-  artifacts plus the per-engine/per-session cache.
-* :mod:`~repro.pipeline.policies` — chunking/partitioning/retry/memory
-  policies the thin adapters compose.
+* :func:`~repro.pipeline.stages.run_pipeline` — convert → init-candidates
+  → refine → map → join over two CSR-GO batches; the one function every
+  run goes through (spans, timers, contract checks, artifact caching).
 * :class:`~repro.pipeline.session.MatcherSession` — prepared-query
-  serving layer (compile queries once, stream data batches).
+  serving layer (compile queries once, stream data batches); the entry
+  point of every driver, ``SigmoEngine.run`` included.
+* :mod:`~repro.pipeline.artifacts` — the fingerprint-keyed cache of the
+  ``refine``/``map`` artifacts.
+* :mod:`~repro.pipeline.aggregate` — the one multi-run result type and
+  its accumulator.
+* :mod:`~repro.pipeline.policies` — the pool driver's partitioning and
+  retry policy.
 """
 
-from repro.core.join import JoinResult as JoinOutput
 from repro.pipeline.aggregate import AggregateResult, ResultAccumulator, merge_join_stats
-from repro.pipeline.artifacts import (
-    ArtifactCache,
-    CSRGOPair,
-    StageArtifact,
-    derive_n_labels,
-    filter_fingerprint,
-)
-from repro.pipeline.executor import (
-    PipelineExecutor,
-    PipelineRequest,
-    default_executor,
-    execute,
-)
-from repro.pipeline.policies import (
-    ChunkingPolicy,
-    ExecutionPolicy,
-    MemoryBudgetPolicy,
-    RetryPolicy,
-    TruncationPolicy,
-    WorkUnit,
-    partition_slices,
-)
+from repro.pipeline.artifacts import ArtifactCache, derive_n_labels, filter_fingerprint
+from repro.pipeline.policies import RetryPolicy, partition_slices
 from repro.pipeline.session import MatcherSession
-from repro.pipeline.stages import (
-    PIPELINE_STAGES,
-    PipelineState,
-    StageSpec,
-    validate_stage_graph,
-)
+from repro.pipeline.stages import run_pipeline
 
 __all__ = [
     "AggregateResult",
     "ArtifactCache",
-    "CSRGOPair",
-    "ChunkingPolicy",
-    "ExecutionPolicy",
-    "JoinOutput",
     "MatcherSession",
-    "MemoryBudgetPolicy",
-    "PIPELINE_STAGES",
-    "PipelineExecutor",
-    "PipelineRequest",
-    "PipelineState",
     "ResultAccumulator",
     "RetryPolicy",
-    "StageArtifact",
-    "StageSpec",
-    "TruncationPolicy",
-    "WorkUnit",
-    "default_executor",
     "derive_n_labels",
-    "execute",
     "filter_fingerprint",
     "merge_join_stats",
     "partition_slices",
-    "validate_stage_graph",
+    "run_pipeline",
 ]

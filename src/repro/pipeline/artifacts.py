@@ -1,18 +1,17 @@
 """Stage artifacts and the per-engine/per-session artifact cache.
 
-Every pipeline stage produces one explicit artifact (the CSR-GO pair, the
-``FilterResult``, the ``GMCR``, the ``JoinResult``).  Query/data-side
-artifacts are *checkpointable*: they are deterministic functions of the
-batch contents plus the filter-affecting config fields, so a cache keyed
-on that fingerprint can hand a resumed (or repeated) run its
-``FilterResult``/``GMCR`` back instead of re-running stages 2-5.
+The ``refine`` stage's ``FilterResult`` and the ``map`` stage's ``GMCR``
+are deterministic functions of the batch contents plus the
+filter-affecting config fields, so a cache keyed on that fingerprint can
+hand a resumed (or repeated) run its ``FilterResult``/``GMCR`` back
+instead of re-running stages 2-5.
 
 The cache is deliberately small and local — one per :class:`~repro.core.
 engine.SigmoEngine` / :class:`~repro.pipeline.session.MatcherSession` —
 unlike the global content memos of :mod:`repro.accel.memo` which
 deduplicate work *across* engines.  Cached values are treated as
-immutable; the executor hands out defensive copies of the mutable parts
-(the GMCR ``matched`` flags).
+immutable; :func:`~repro.pipeline.stages.run_pipeline` hands out
+defensive copies of the mutable parts (the GMCR ``matched`` flags).
 """
 
 from __future__ import annotations
@@ -24,32 +23,9 @@ from typing import Any
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 
-#: Stage names of the five-stage graph, in execution order.
-STAGE_CONVERT = "convert"
-STAGE_INIT = "init-candidates"
+#: Names of the two cached stages (the first half of the cache key).
 STAGE_REFINE = "refine"
 STAGE_MAP = "map"
-STAGE_JOIN = "join"
-
-
-@dataclass(frozen=True)
-class StageArtifact:
-    """One stage's output plus the fingerprint it is valid for.
-
-    Attributes
-    ----------
-    stage:
-        Producing stage name (one of the ``STAGE_*`` constants).
-    fingerprint:
-        Hashable key binding the artifact to its exact inputs (batch
-        content hashes, label-vocabulary size, filter-affecting config).
-    value:
-        The artifact itself (``FilterResult``, ``GMCR``, ...).
-    """
-
-    stage: str
-    fingerprint: tuple
-    value: Any
 
 
 @dataclass
@@ -72,7 +48,11 @@ class ArtifactCacheStats:
 
 
 class ArtifactCache:
-    """Bounded LRU of :class:`StageArtifact` keyed by (stage, fingerprint).
+    """Bounded LRU of stage artifacts keyed by (stage, fingerprint).
+
+    The fingerprint (:func:`filter_fingerprint`) binds an artifact to its
+    exact inputs: batch content hashes, label-vocabulary size and the
+    filter-affecting config.
 
     Insertion of an existing key refreshes both recency and value.  The
     bound is an entry count, not bytes: entries reference arrays the
@@ -84,29 +64,29 @@ class ArtifactCache:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
-        self._entries: OrderedDict[tuple, StageArtifact] = OrderedDict()
+        self._entries: OrderedDict[tuple, Any] = OrderedDict()
         self.stats = ArtifactCacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, stage: str, fingerprint: tuple) -> StageArtifact | None:
-        """Recall a stage artifact, refreshing its recency."""
+    def get(self, stage: str, fingerprint: tuple) -> Any:
+        """Recall a stage artifact (``None`` on a miss), refreshing its recency."""
         key = (stage, fingerprint)
-        artifact = self._entries.get(key)
-        if artifact is None:
+        value = self._entries.get(key)
+        if value is None:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return artifact
+        return value
 
-    def put(self, artifact: StageArtifact) -> None:
+    def put(self, stage: str, fingerprint: tuple, value: Any) -> None:
         """Store an artifact, evicting the least-recently-used past the bound."""
-        key = (artifact.stage, artifact.fingerprint)
+        key = (stage, fingerprint)
         if key in self._entries:
             self._entries.move_to_end(key)
-        self._entries[key] = artifact
+        self._entries[key] = value
         self.stats.stores += 1
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -117,25 +97,10 @@ class ArtifactCache:
         self._entries.clear()
 
 
-@dataclass(frozen=True)
-class CSRGOPair:
-    """Stage-1 artifact: the converted batches plus the label-space size."""
-
-    query: CSRGO
-    data: CSRGO
-    n_labels: int
-
-    @property
-    def fingerprint(self) -> tuple:
-        """Content identity of the pair."""
-        return (self.query.content_hash(), self.data.content_hash(), self.n_labels)
-
-
 def derive_n_labels(query: CSRGO, data: CSRGO, wildcard_label: int | None) -> int:
     """Label-vocabulary size shared by every stage (wildcard excluded).
 
-    This is the single definition every driver historically re-derived:
-    the max over the query labels (minus the wildcard, whose rows match
+    The max over the query labels (minus the wildcard, whose rows match
     anything) and the data batch's label count, floored at 1.
     """
     q_labels = query.labels

@@ -1,9 +1,12 @@
 """Prepared-query sessions: compile the query side once, stream data batches.
 
-The serving shape the ROADMAP asks for (and Qiu et al.'s batch-dynamic
-matcher motivates): a :class:`MatcherSession` converts and validates the
-query batch exactly once, then ``session.match(data_batch)`` runs only
-data-side work per call.  Three reuse layers compose:
+The serving shape Qiu et al.'s batch-dynamic matcher motivates: a
+:class:`MatcherSession` converts the query batch exactly once, then
+``session.match(data_batch)`` hands both CSR-GO batches to
+:func:`~repro.pipeline.stages.run_pipeline`.  ``match`` is the single
+path every driver takes: ``SigmoEngine.run`` is a session match over the
+engine's own data batch, and the chunked, resilient, pool and serving
+drivers each hold sessions.  Three reuse layers compose:
 
 * the query CSR-GO (and its content hash) live for the session, so the
   global signature/plan memos of :mod:`repro.accel.memo` hit on every
@@ -31,11 +34,16 @@ from repro.core.join import FIND_ALL, JoinBudget
 from repro.core.results import MatchResult
 from repro.graph.batch import GraphBatch
 from repro.pipeline.artifacts import ArtifactCache
-from repro.pipeline.executor import (
-    PipelineExecutor,
-    PipelineRequest,
-    default_executor,
-)
+from repro.pipeline.stages import run_pipeline
+
+#: Data batches whose conversion a session keeps alive (keyed by object
+#: identity, so passing the same list again skips ``GraphBatch`` / CSR-GO
+#: conversion).
+MAX_CACHED_BATCHES = 8
+
+#: Entries in a session's own filter/GMCR artifact cache (each retained
+#: config variant of each batch costs one bitmap + one GMCR).
+MAX_CACHED_ARTIFACTS = 16
 
 
 class MatcherSession:
@@ -62,67 +70,42 @@ class MatcherSession:
     config:
         Session-default configuration; ``match`` accepts per-call
         overrides.
-    executor:
-        Pipeline executor to run on (the shared default when ``None``).
-    max_cached_batches:
-        Data batches whose conversion is kept alive (keyed by object
-        identity, so passing the same list again skips ``GraphBatch`` /
-        CSR-GO conversion).
-    max_cached_artifacts:
-        Entries in the filter/GMCR artifact cache (each retained config
-        variant of each batch costs one bitmap + one GMCR).
+    cache:
+        Artifact cache to store and recall the filter/GMCR artifacts in;
+        a fresh one of :data:`MAX_CACHED_ARTIFACTS` entries by default.
+        ``SigmoEngine`` passes its own, so engine runs and session matches
+        over the same batches share recalled artifacts.
+    cost_model:
+        Join dispatch cost model pinned for the session's lifetime
+        (``None`` follows the process-wide calibrated model) — warm
+        serving sessions keep one consistent dispatch policy even if a
+        recalibration lands mid-flight.
     """
 
     def __init__(
         self,
         queries: Iterable | GraphBatch | CSRGO,
         config: SigmoConfig | None = None,
-        executor: PipelineExecutor | None = None,
-        max_cached_batches: int = 8,
-        max_cached_artifacts: int = 16,
+        cache: ArtifactCache | None = None,
         cost_model: Any = None,
     ) -> None:
-        if max_cached_batches < 1:
-            raise ValueError("max_cached_batches must be >= 1")
         self.config = config or SigmoConfig()
-        #: Join dispatch cost model pinned for the session's lifetime
-        #: (``None`` follows the process-wide calibrated model) — warm
-        #: serving sessions keep one consistent dispatch policy even if
-        #: a recalibration lands mid-flight.
         self.cost_model = cost_model
-        self._executor = executor or default_executor()
         self._query = self._to_csrgo(queries, "query")
         # Warm the content hash now: every artifact fingerprint and memo
         # key derives from it, and it is cached on the CSRGO instance.
         self._query.content_hash()
-        self._artifacts = ArtifactCache(max_entries=max_cached_artifacts)
-        self._max_cached_batches = max_cached_batches
+        # Not ``cache or ...``: an empty cache is falsy (it has __len__).
+        self._artifacts = (
+            cache if cache is not None else ArtifactCache(MAX_CACHED_ARTIFACTS)
+        )
         # id(batch) -> (strong ref keeping the id valid, converted CSRGO)
         self._data_cache: OrderedDict[int, tuple[Any, CSRGO]] = OrderedDict()
         self.batches_matched = 0
         # Serializes match() calls: the artifact/data caches and the
-        # executor's recalled artifacts are not safe under interleaving
+        # recalled artifacts are not safe under interleaving
         # (see the class docstring's concurrency contract).
         self._lock = threading.RLock()
-
-    @classmethod
-    def from_csrgo(
-        cls,
-        query: CSRGO,
-        config: SigmoConfig | None = None,
-        executor: PipelineExecutor | None = None,
-        cache: ArtifactCache | None = None,
-    ) -> "MatcherSession":
-        """Wrap an existing query CSR-GO (and optionally share a cache).
-
-        ``SigmoEngine.session()`` uses this to hand its own artifact
-        cache to the session, so engine runs and session matches over the
-        same batches share recalled artifacts.
-        """
-        session = cls(query, config=config, executor=executor)
-        if cache is not None:
-            session._artifacts = cache
-        return session
 
     # -- introspection -----------------------------------------------------------
 
@@ -163,20 +146,17 @@ class MatcherSession:
         session's internal lock (see the class docstring).
         """
         with self._lock:
-            data_csrgo = self._convert_data(data)
-            request = PipelineRequest(
-                query=self._query,
-                data=data_csrgo,
-                config=config or self.config,
-                mode=mode,
+            result = run_pipeline(
+                self._query,
+                self._convert_data(data),
+                config or self.config,
+                mode,
                 join_budget=join_budget,
                 join_start_pair=join_start_pair,
                 cost_model=self.cost_model,
                 cache=self._artifacts,
-                reuse_artifacts=reuse,
-                validated=False,
+                reuse=reuse,
             )
-            result = self._executor.execute(request)
             self.batches_matched += 1
             return result
 
@@ -201,7 +181,7 @@ class MatcherSession:
         pinning every batch it ever saw.
         """
         if isinstance(data, CSRGO):
-            return data
+            return self._to_csrgo(data, "data")
         key = id(data)
         entry = self._data_cache.get(key)
         if entry is not None and entry[0] is data:
@@ -210,6 +190,6 @@ class MatcherSession:
         csrgo = self._to_csrgo(data, "data")
         csrgo.content_hash()
         self._data_cache[key] = (data, csrgo)
-        while len(self._data_cache) > self._max_cached_batches:
+        while len(self._data_cache) > MAX_CACHED_BATCHES:
             self._data_cache.popitem(last=False)
         return csrgo

@@ -1,229 +1,156 @@
-"""The typed stage graph: convert → init-candidates → refine → map → join.
+"""The pipeline: init-candidates → refine → map → join, in one function.
 
-Each stage is a :class:`StageSpec` — a name, its dependencies, the group
-(stage span) it renders under, whether its artifact is cacheable, and a
-runner.  The runners operate on a mutable :class:`PipelineState` so the
-executor stays a generic loop: it resolves dependencies, opens the group
-spans, consults the artifact cache, and stores what the runners produce.
+The paper's Fig. 2 is one fixed dataflow, so :func:`run_pipeline` runs it
+as straight-line code over two CSR-GO batches (stage 1, the conversion,
+happens once per batch in the session or engine).  It is the single place where the obs span
+hierarchy (``run`` → ``stage:*`` → ``kernel:*`` → ``wg:*``), the
+:class:`~repro.utils.timing.StageTimer` totals and counts, the
+``REPRO_CHECK=1`` contract checks and the artifact cache attach.  Every
+driver reaches it through :meth:`~repro.pipeline.session.MatcherSession.
+match`; what varies between drivers (chunking, retries, process
+placement) lives around the session, never in here.
 
-The graph is deliberately a straight line (the paper's Fig. 2 dataflow);
-what varies between the historical six drivers is *policy* —  chunking,
-retries, process placement — which lives in :mod:`repro.pipeline.policies`
-around the executor, never inside the stages.
+The ``refine`` and ``map`` artifacts are stored in the caller's
+:class:`~repro.pipeline.artifacts.ArtifactCache` on every run and, when
+``reuse`` is set, recalled instead of recomputed: the recalled stages'
+spans and timer entries are then simply absent, which is how tests verify
+the skip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.analysis import contracts
+from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.filtering import IterativeFilter
-from repro.core.join import run_join
-from repro.core.mapping import build_gmcr
+from repro.core.join import JoinBudget, run_join
+from repro.core.mapping import GMCR, build_gmcr
+from repro.core.results import MatchResult, MemoryReport
 from repro.obs.trace import get_tracer
 from repro.pipeline.artifacts import (
-    STAGE_CONVERT,
-    STAGE_INIT,
-    STAGE_JOIN,
     STAGE_MAP,
     STAGE_REFINE,
-    CSRGOPair,
+    ArtifactCache,
     derive_n_labels,
+    filter_fingerprint,
 )
 from repro.utils.timing import StageTimer
+from repro.xp import use_backend
 
 
-@dataclass
-class PipelineState:
-    """Mutable per-execution scratchpad shared by the stage runners.
+def run_pipeline(
+    query: CSRGO,
+    data: CSRGO,
+    config: SigmoConfig,
+    mode: str,
+    join_budget: JoinBudget | None,
+    join_start_pair: int,
+    cost_model: Any,
+    cache: ArtifactCache,
+    reuse: bool,
+) -> MatchResult:
+    """Run both CSR-GO batches through the pipeline; return the match result.
 
-    ``request`` is the immutable input; everything else is filled in as
-    stages run.  ``artifacts`` maps stage name → produced value;
-    ``from_cache`` records which stages were satisfied from the artifact
-    cache (the executor skips their spans and timers — that is the whole
-    point of caching them).
+    The whole run executes under ``config.array_backend``.  ``cost_model``
+    overrides the join's dispatch model (``None``: the process-wide
+    calibrated one).  ``reuse`` lets the run recall the ``refine``/``map``
+    artifacts from ``cache``; storing happens regardless, so a plain run
+    leaves them behind for a later resume.
     """
+    with use_backend(config.array_backend):
+        if contracts.enabled():
+            contracts.check_csrgo(query, "query batch")
+            contracts.check_csrgo(data, "data batch")
+        n_labels = derive_n_labels(query, data, config.wildcard_label)
+        fingerprint = filter_fingerprint(query, data, n_labels, config)
+        timer = StageTimer()
+        tracer = get_tracer()
+        with tracer.span(
+            "run",
+            category="engine",
+            mode=mode,
+            n_queries=query.n_graphs,
+            n_data_graphs=data.n_graphs,
+        ) as root:
+            filter_result = cache.get(STAGE_REFINE, fingerprint) if reuse else None
+            if filter_result is None:
+                with tracer.span(
+                    "stage:filter",
+                    category="stage",
+                    iterations=config.refinement_iterations,
+                ) as stage_sp:
+                    filt = IterativeFilter(query, data, config, n_labels)
+                    filter_result = filt.refine(filt.initialize(timer), timer)
+                    stage_sp.set(candidates=filter_result.total_candidates)
+                cache.put(STAGE_REFINE, fingerprint, filter_result)
+            if contracts.enabled():
+                contracts.check_filter_result(filter_result)
 
-    request: Any  # PipelineRequest (kept untyped to avoid a module cycle)
-    timer: StageTimer
-    query: CSRGO | None = None
-    data: CSRGO | None = None
-    n_labels: int = 0
-    filter: IterativeFilter | None = None
-    artifacts: dict[str, Any] = field(default_factory=dict)
-    from_cache: set[str] = field(default_factory=set)
+            gmcr = cache.get(STAGE_MAP, fingerprint) if reuse else None
+            if gmcr is None:
+                with tracer.span("stage:mapping", category="stage") as stage_sp:
+                    with timer.stage("mapping"):
+                        with tracer.span(
+                            "kernel:gmcr", category="kernel", work_items=data.n_graphs
+                        ):
+                            gmcr = build_gmcr(filter_result.bitmap, query, data)
+                    stage_sp.set(pairs=gmcr.n_pairs)
+                cache.put(STAGE_MAP, fingerprint, _fresh_matched(gmcr))
+            else:
+                gmcr = _fresh_matched(gmcr)
+            if contracts.enabled():
+                contracts.check_gmcr(gmcr, query.n_graphs)
 
-    @property
-    def config(self):
-        """The resolved run config (always set on the request)."""
-        return self.request.config
+            join_result = run_join(
+                query,
+                data,
+                filter_result.bitmap,
+                gmcr,
+                config,
+                mode=mode,
+                timer=timer,
+                budget=join_budget,
+                start_pair=join_start_pair,
+                cost_model=cost_model,
+            )
+            root.set(matches=join_result.total_matches)
+
+        memory = MemoryReport(
+            candidate_bitmap=filter_result.bitmap.nbytes(),
+            data_graphs=data.nbytes(),
+            query_graphs=query.nbytes(),
+            # One packed uint64 per node on each side.
+            signatures=sum(
+                counts.shape[0] * 8
+                for counts in (
+                    filter_result.query_signatures,
+                    filter_result.data_signatures,
+                )
+                if counts is not None
+            ),
+            gmcr=gmcr.nbytes(),
+        )
+        return MatchResult(
+            mode=mode,
+            total_matches=join_result.total_matches,
+            filter_result=filter_result,
+            gmcr=gmcr,
+            join_result=join_result,
+            timings=dict(timer.totals),
+            stage_counts=dict(timer.counts),
+            memory=memory,
+        )
 
 
-@dataclass(frozen=True)
-class StageSpec:
-    """Static description of one pipeline stage.
+def _fresh_matched(gmcr: GMCR) -> GMCR:
+    """The GMCR with its own copy of the ``matched`` flags.
 
-    Attributes
-    ----------
-    name:
-        Stage name (``convert`` ... ``join``).
-    requires:
-        Names of stages whose artifacts must exist before this one runs.
-    runner:
-        ``runner(state) -> artifact``; stores nothing itself.
-    group:
-        Stage-span group this stage renders under (``"filter"`` /
-        ``"mapping"``), or ``None`` for stages that manage their own spans
-        (convert runs before the root span; join opens ``stage:join``
-        itself, exactly as the pre-pipeline engine did).
-    query_side:
-        Whether the artifact depends only on batch contents + filter
-        config (and is therefore reusable across repeated/resumed runs).
-    cacheable:
-        Whether the executor may satisfy this stage from the artifact
-        cache.  Only the *last* stage of a group is cacheable: recalling
-        ``refine`` implies ``init-candidates`` never needs to exist.
+    ``matched`` is the one part of a query-side artifact the join
+    mutates: the cached copy keeps pristine (all-False) flags, and each
+    recalled GMCR gets a fresh array, so a resumed run's Find First flags
+    cover exactly the pairs *it* joined.
     """
+    return GMCR(gmcr.data_graph_offsets, gmcr.query_graph_indices, gmcr.matched.copy())
 
-    name: str
-    requires: tuple[str, ...]
-    runner: Callable[[PipelineState], Any]
-    group: str | None = None
-    query_side: bool = False
-    cacheable: bool = False
-
-
-def _run_convert(state: PipelineState) -> CSRGOPair:
-    """Stage 1: CSR-GO conversion, validation, and the label-space size."""
-    request = state.request
-    query, data = request.resolve_batches()
-    if query.n_graphs == 0:
-        raise ValueError("at least one query graph is required")
-    if data.n_graphs == 0:
-        raise ValueError("at least one data graph is required")
-    if not request.validated and contracts.enabled():
-        contracts.check_csrgo(query, "query batch")
-        contracts.check_csrgo(data, "data batch")
-    n_labels = request.n_labels
-    if n_labels is None:
-        n_labels = derive_n_labels(query, data, request.config.wildcard_label)
-    state.query = query
-    state.data = data
-    state.n_labels = n_labels
-    return CSRGOPair(query=query, data=data, n_labels=n_labels)
-
-
-def _run_init_candidates(state: PipelineState):
-    """Stage 2: seed the candidate bitmap (filter phase, first half)."""
-    state.filter = IterativeFilter(
-        state.query, state.data, state.config, state.n_labels
-    )
-    return state.filter.initialize(state.timer)
-
-
-def _run_refine(state: PipelineState):
-    """Stages 3-4: iterative signature refinement (filter phase, second half)."""
-    return state.filter.refine(state.artifacts[STAGE_INIT], state.timer)
-
-
-def _run_map(state: PipelineState):
-    """Stage 5: GMCR mapping over the refined bitmap."""
-    filter_result = state.artifacts[STAGE_REFINE]
-    with state.timer.stage("mapping"):
-        with get_tracer().span(
-            "kernel:gmcr", category="kernel", work_items=state.data.n_graphs
-        ):
-            return build_gmcr(filter_result.bitmap, state.query, state.data)
-
-
-def _run_join(state: PipelineState):
-    """Stage 6: the join (owns its own ``stage:join`` span and timer)."""
-    request = state.request
-    return run_join(
-        state.query,
-        state.data,
-        state.artifacts[STAGE_REFINE].bitmap,
-        state.artifacts[STAGE_MAP],
-        request.config,
-        mode=request.mode,
-        timer=state.timer,
-        plans=request.plans,
-        budget=request.join_budget,
-        start_pair=request.join_start_pair,
-        cost_model=request.cost_model,
-    )
-
-
-#: The five-stage graph, in execution order (paper Fig. 2 with the filter
-#: phase split at its natural seam).
-PIPELINE_STAGES: tuple[StageSpec, ...] = (
-    StageSpec(name=STAGE_CONVERT, requires=(), runner=_run_convert),
-    StageSpec(
-        name=STAGE_INIT,
-        requires=(STAGE_CONVERT,),
-        runner=_run_init_candidates,
-        group="filter",
-        query_side=True,
-    ),
-    StageSpec(
-        name=STAGE_REFINE,
-        requires=(STAGE_INIT,),
-        runner=_run_refine,
-        group="filter",
-        query_side=True,
-        cacheable=True,
-    ),
-    StageSpec(
-        name=STAGE_MAP,
-        requires=(STAGE_REFINE,),
-        runner=_run_map,
-        group="mapping",
-        query_side=True,
-        cacheable=True,
-    ),
-    StageSpec(name=STAGE_JOIN, requires=(STAGE_MAP,), runner=_run_join),
-)
-
-
-def validate_stage_graph(stages: tuple[StageSpec, ...] = PIPELINE_STAGES) -> None:
-    """Check the graph is a well-formed forward DAG with contiguous groups.
-
-    Raises ``ValueError`` on duplicate names, dependencies on unknown or
-    later stages, a cacheable stage that is not the tail of its group, or
-    a group split by an ungrouped stage (group spans must be one
-    contiguous ``with`` block).
-    """
-    seen: set[str] = set()
-    for spec in stages:
-        if spec.name in seen:
-            raise ValueError(f"duplicate stage name {spec.name!r}")
-        for dep in spec.requires:
-            if dep not in seen:
-                raise ValueError(
-                    f"stage {spec.name!r} requires {dep!r} which does not "
-                    "run before it"
-                )
-        seen.add(spec.name)
-    groups_closed: set[str] = set()
-    open_group: str | None = None
-    for spec in stages:
-        if spec.group != open_group:
-            if open_group is not None:
-                groups_closed.add(open_group)
-            if spec.group in groups_closed:
-                raise ValueError(
-                    f"group {spec.group!r} is split by an intervening stage"
-                )
-            open_group = spec.group
-    for i, spec in enumerate(stages):
-        if spec.cacheable:
-            if spec.group is None:
-                continue
-            is_tail = i + 1 == len(stages) or stages[i + 1].group != spec.group
-            if not is_tail:
-                raise ValueError(
-                    f"cacheable stage {spec.name!r} must be the tail of "
-                    f"group {spec.group!r}"
-                )

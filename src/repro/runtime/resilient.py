@@ -33,6 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.chunked import BudgetInfeasible, chunk_size_for_budget
 from repro.core.config import SigmoConfig
 from repro.core.engine import SigmoEngine
 from repro.core.join import FIND_ALL, JoinBudget
@@ -48,7 +49,6 @@ from repro.pipeline.aggregate import (
     ResultAccumulator,
     join_stats_dict,
 )
-from repro.pipeline.policies import MemoryBudgetPolicy
 from repro.runtime import telemetry
 from repro.runtime.checkpoint import (
     STATUS_OK,
@@ -359,14 +359,14 @@ def _auto_chunk_size(
     """Derive the chunk size from the pool budget (degrading to 1)."""
     if pool is None:
         return len(data)
-    policy = MemoryBudgetPolicy(capacity_bytes=pool.capacity)
-    size, degradation = policy.auto_chunk_size(
-        sum(g.n_nodes for g in queries),
-        sum(g.n_nodes for g in data) / len(data),
-        len(data),
-        word_bits=config.word_bits,
-    )
-    if degradation is not None:
+    try:
+        return chunk_size_for_budget(
+            max(sum(g.n_nodes for g in queries), 1),
+            max(sum(g.n_nodes for g in data) / len(data), 1e-9),
+            pool.capacity,
+            word_bits=config.word_bits,
+        )
+    except BudgetInfeasible as exc:
         # Even one average graph exceeds the bitmap share of the budget;
         # degrade to single-graph chunks and let the per-chunk lease
         # decide which graphs truly cannot run.
@@ -375,11 +375,11 @@ def _auto_chunk_size(
                 unit="auto-chunk-size",
                 attempt=0,
                 outcome=telemetry.INFEASIBLE,
-                chunk_size=size,
-                detail=degradation,
+                chunk_size=1,
+                detail=str(exc),
             )
         )
-    return size
+        return 1
 
 
 def _plan_tasks(

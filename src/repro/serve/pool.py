@@ -193,7 +193,7 @@ class SessionPool:
     def _build_lane(
         self, key: str, index: int, query: CSRGO, config: SigmoConfig
     ) -> SessionLane:
-        session = MatcherSession.from_csrgo(query, config=config)
+        session = MatcherSession(query, config=config)
         breaker = CircuitBreaker(
             self._clock,
             failure_threshold=self.breaker_threshold,
@@ -250,7 +250,7 @@ class SessionPool:
         entry = self._entries.get(lane.key)
         if entry is None:
             return
-        lane.session = MatcherSession.from_csrgo(entry.query, config=entry.config)
+        lane.session = MatcherSession(entry.query, config=entry.config)
         lane.stats.rebuilds += 1
         self.rebuilds += 1
 

@@ -1,5 +1,6 @@
 """Exporters: Chrome trace-event JSON and the ``repro.metrics/1`` payload."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -244,3 +245,112 @@ class TestHistogramValidation:
         payload = self.payload(h.as_dict())
         payload["obs_overhead"] = {"overhead_frac": 0.01}
         assert validate_metrics(payload) == []
+
+
+class TestCrossCounterInvariants:
+    """Counters of one real run agree with each other; slips are flagged."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, small_dataset):
+        from repro.core.config import SigmoConfig
+        from repro.core.engine import SigmoEngine
+        from repro.core.join import JoinBudget
+
+        engine = SigmoEngine(
+            small_dataset.queries,
+            small_dataset.data,
+            SigmoConfig(refinement_iterations=3),
+        )
+        cold = engine.run()
+        budget = JoinBudget(max_visits=cold.join_result.stats.candidate_visits // 3)
+        truncated = engine.run(join_budget=budget)
+        assert truncated.join_result.truncated
+        edge = SigmoEngine(
+            small_dataset.queries,
+            small_dataset.data,
+            SigmoConfig(refinement_iterations=3, edge_signatures=True),
+        )
+        results = {
+            "cold": cold,
+            "warm": engine.session().match(engine.data),
+            "truncated": truncated,
+            "resumed": engine.run(
+                join_budget=budget,
+                join_start_pair=truncated.join_result.resume_pair,
+            ),
+            "find-first": engine.run(mode="find-first"),
+            "edge-aware": edge.run(),
+        }
+        return engine, results
+
+    @staticmethod
+    def payload(engine, result):
+        from repro.obs.profile import build_profile
+
+        return build_profile(result, engine.query, engine.data).payload()
+
+    def slipped(self, runs, name, **join_changes):
+        """Problems of a payload built from a run with altered join output."""
+        engine, results = runs
+        result = results[name]
+        join_result = dataclasses.replace(result.join_result, **join_changes)
+        slipped = dataclasses.replace(result, join_result=join_result)
+        return validate_metrics(self.payload(engine, slipped))
+
+    def test_real_payloads_validate_clean(self, runs):
+        engine, results = runs
+        payloads = {name: self.payload(engine, r) for name, r in results.items()}
+        for name, payload in payloads.items():
+            assert validate_metrics(payload) == [], name
+        cold = payloads["cold"]["counters"]
+        assert cold["join.backend_pairs.fused"] > 0
+        assert "join.truncated" not in cold
+        assert payloads["truncated"]["counters"]["join.truncated"] == 1
+        assert "engine.stage_count.filter" not in payloads["warm"]["counters"]
+
+    def test_pairs_per_table_sum_off_by_one_flagged(self, runs):
+        per_table = runs[1]["cold"].join_result.fused_pairs_per_table
+        problems = self.slipped(
+            runs, "cold", fused_pairs_per_table=[per_table[0] + 1, *per_table[1:]]
+        )
+        assert any("pairs_per_table sum" in p for p in problems)
+
+    def test_fused_pairs_replaced_by_table_count_flagged(self, runs):
+        for name in ("cold", "find-first"):
+            join_result = runs[1][name].join_result
+            pairs = dict(join_result.backend_pairs, fused=join_result.fused_tables)
+            problems = self.slipped(runs, name, backend_pairs=pairs)
+            assert any("join.backend_pairs.fused" in p for p in problems), name
+
+    def test_truncated_run_may_carry_unfolded_pairs_only(self, runs):
+        join_result = runs[1]["truncated"].join_result
+        carried = sum(join_result.fused_pairs_per_table)
+        assert carried > join_result.backend_pairs["fused"]
+        pairs = dict(join_result.backend_pairs, fused=carried + 1)
+        problems = self.slipped(runs, "truncated", backend_pairs=pairs)
+        assert any("join.backend_pairs.fused" in p for p in problems)
+
+    def test_table_count_mismatch_flagged(self, runs):
+        tables = runs[1]["cold"].join_result.fused_tables
+        problems = self.slipped(runs, "cold", fused_tables=tables + 1)
+        assert any("join.fused.tables" in p for p in problems)
+
+    def test_more_dispatched_pairs_than_gmcr_pairs_flagged(self, runs):
+        join_result = runs[1]["find-first"].join_result
+        pairs = dict(join_result.backend_pairs, dfs=runs[1]["find-first"].gmcr.n_pairs)
+        problems = self.slipped(runs, "find-first", backend_pairs=pairs)
+        assert any("gmcr.pairs" in p for p in problems)
+
+    def test_filter_stage_count_off_iterations_flagged(self, runs):
+        engine, results = runs
+        for name, delta in (("cold", 2), ("cold", -1), ("edge-aware", 1)):
+            payload = json.loads(json.dumps(self.payload(engine, results[name])))
+            payload["counters"]["engine.stage_count.filter"] += delta
+            problems = validate_metrics(payload)
+            assert any("engine.filter_iterations" in p for p in problems), name
+
+    def test_checks_skip_absent_keys(self):
+        m = MetricsRegistry()
+        m.count("join.backend_pairs.fused", 5)
+        m.count("engine.stage_count.filter", 9)
+        assert validate_metrics(metrics_payload(m)) == []

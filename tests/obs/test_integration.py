@@ -19,6 +19,7 @@ from repro.cli import main as cli_main
 from repro.core.chunked import run_chunked
 from repro.core.config import SigmoConfig
 from repro.core.engine import SigmoEngine
+from repro.core.join import JoinBudget
 from repro.obs.export import (
     load_metrics,
     stable_json,
@@ -122,6 +123,78 @@ class TestTracedPipeline:
                 pass
         per_span = (time.perf_counter() - start) / reps
         assert per_span * n_spans < 0.05 * workload_seconds
+
+
+def span_skeleton(tracer):
+    """Ordered ``(name, parent name)`` of the run, stage and kernel spans."""
+    by_id = {s.span_id: s for s in tracer.spans}
+    return [
+        (s.name, by_id[s.parent_id].name if s.parent_id is not None else None)
+        for s in tracer.spans
+        if s.name == "run" or s.name.startswith(("stage:", "kernel:"))
+    ]
+
+
+#: The spans of a cold run: filter (init + one refine kernel per
+#: iteration past the label-only first), mapping, then the join.
+COLD_SKELETON = [
+    ("run", None),
+    ("stage:filter", "run"),
+    ("kernel:initialize_candidates", "stage:filter"),
+    ("kernel:refine_candidates", "stage:filter"),
+    ("kernel:refine_candidates", "stage:filter"),
+    ("stage:mapping", "run"),
+    ("kernel:gmcr", "stage:mapping"),
+    ("stage:join", "run"),
+    ("kernel:join", "stage:join"),
+]
+
+
+class TestSpanSkeleton:
+    """The span tree of each pipeline path, pinned span by span."""
+
+    def test_cold_engine_run(self, dataset):
+        with tracing() as t:
+            run_once(dataset)
+        assert span_skeleton(t) == COLD_SKELETON + [
+            ("kernel:accel:join-fused", "kernel:join"),
+        ]
+
+    def test_warm_session_match_skips_filter_and_mapping(self, dataset):
+        config = SigmoConfig(refinement_iterations=ITERATIONS)
+        engine = SigmoEngine(dataset.queries, dataset.data, config)
+        engine.run()  # leaves the refine and map artifacts behind
+        with tracing() as t:
+            engine.session().match(engine.data)
+        assert span_skeleton(t) == [
+            ("run", None),
+            ("stage:join", "run"),
+            ("kernel:join", "stage:join"),
+            ("kernel:accel:join-fused", "kernel:join"),
+        ]
+
+    def test_truncated_run_then_resume(self, dataset):
+        config = SigmoConfig(refinement_iterations=ITERATIONS)
+        engine = SigmoEngine(dataset.queries, dataset.data, config)
+        visits = engine.run().join_result.stats.candidate_visits
+        budget = JoinBudget(max_visits=visits // 3)
+        engine = SigmoEngine(dataset.queries, dataset.data, config)
+        with tracing() as t:
+            part = engine.run(join_budget=budget)
+        assert part.join_result.truncated
+        # Under a budget the fused tables run lazily, from the pass that
+        # replays pairs per data graph (wg:data-*).
+        assert span_skeleton(t) == COLD_SKELETON + [
+            ("kernel:accel:join-fused", "wg:data-0"),
+        ]
+        with tracing() as t:
+            engine.run(join_budget=budget, join_start_pair=part.join_result.resume_pair)
+        assert span_skeleton(t) == [
+            ("run", None),
+            ("stage:join", "run"),
+            ("kernel:join", "stage:join"),
+            ("kernel:accel:join-fused", "wg:data-10"),
+        ]
 
 
 class TestStageCounts:

@@ -7,7 +7,7 @@ import pytest
 from repro.obs.export import validate_metrics
 from repro.obs.metrics import METRICS_SCHEMA
 from repro.obs.profile import (
-    PIPELINE_STAGES,
+    TIMED_STAGES,
     ProfileBaseline,
     format_profile,
     format_regressions,
@@ -33,7 +33,7 @@ class TestProfile:
 
     def test_stage_split_covers_the_pipeline(self, profile):
         names = [s["stage"] for s in profile.stages]
-        assert set(names) <= set(PIPELINE_STAGES)
+        assert set(names) <= set(TIMED_STAGES)
         for required in ("filter", "mapping", "join"):
             assert required in names
         assert all(s["count"] >= 1 for s in profile.stages)

@@ -3,10 +3,10 @@
 The multi-layer refactor's acceptance criterion: every driver —
 ``SigmoEngine.run``, ``run_chunked``, ``run_chunked_csrgo``,
 ``run_resilient``, ``run_parallel`` (fault-free and under injected
-faults) — is a thin adapter over the one
-:class:`~repro.pipeline.PipelineExecutor`, and all of them (plus the
-executor invoked directly) must produce identical match sets,
-embeddings, summed :class:`~repro.core.join.JoinStats`, and — for drivers
+faults) — reaches the one :func:`~repro.pipeline.stages.run_pipeline`
+through a :class:`~repro.pipeline.session.MatcherSession`, and all of
+them (plus ``run_pipeline`` invoked directly) must produce identical
+match sets, embeddings, summed :class:`~repro.core.join.JoinStats`, and — for drivers
 sharing a partition — identical ``stage_counts`` and ``n_chunks``.
 """
 
@@ -19,7 +19,7 @@ from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
 from repro.core.join import JoinStats
-from repro.pipeline import PipelineRequest, RetryPolicy, default_executor
+from repro.pipeline import ArtifactCache, RetryPolicy, run_pipeline
 from repro.runtime.faults import FaultPlan
 from repro.runtime.resilient import run_resilient
 
@@ -125,11 +125,18 @@ class TestDriverParity:
         assert result.report.n_retries > 0
         self.check(result, reference)
 
-    def test_executor_direct(self, dataset, config, reference):
-        request = PipelineRequest(
-            query=dataset.queries, data=dataset.data, config=config
+    def test_run_pipeline_direct(self, dataset, config, reference):
+        result = run_pipeline(
+            CSRGO.from_graphs(dataset.queries),
+            CSRGO.from_graphs(dataset.data),
+            config,
+            "find-all",
+            join_budget=None,
+            join_start_pair=0,
+            cost_model=None,
+            cache=ArtifactCache(),
+            reuse=False,
         )
-        result = default_executor().execute(request)
         assert result.total_matches == reference.total_matches
         assert result.matched_pairs() == reference.matched_pairs()
         assert embedding_set(result.embeddings) == embedding_set(

@@ -8,6 +8,7 @@ iteration sweep flows through the session layer; and ``mode`` /
 ``join_budget`` pass through per call.
 """
 
+import dataclasses
 import subprocess
 import sys
 
@@ -15,8 +16,10 @@ import pytest
 
 from repro.chem.datasets import build_benchmark
 from repro.core.config import SigmoConfig
+from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
 from repro.core.join import FIND_FIRST, JoinBudget
+from repro.graph.generators import path_graph
 from repro.obs.trace import tracing
 from repro.pipeline import MatcherSession
 
@@ -141,6 +144,42 @@ class TestPassThrough:
         rest = session.match(dataset.data, join_start_pair=part.resume_pair)
         assert part.total_matches + rest.total_matches == full.total_matches
         assert part.embeddings + rest.embeddings == full.embeddings
+
+
+class TestInputValidation:
+    def test_empty_batches_rejected(self, dataset, config):
+        with pytest.raises(ValueError, match="at least one query graph"):
+            MatcherSession([], config=config)
+        session = MatcherSession(dataset.queries, config=config)
+        empty = CSRGO.from_graphs(dataset.data[:1]).slice_graphs(0, 0)
+        for data in ([], empty):
+            with pytest.raises(ValueError, match="at least one data graph"):
+                session.match(data)
+
+
+class TestEngineConfigOverride:
+    def test_override_derives_labels_from_the_run_config(self):
+        """``engine.run(config=...)`` sizes the label space from that config.
+
+        A wildcard label in the override shrinks the label space; the run
+        must filter exactly as a fresh engine of that config does, and
+        leave artifacts a session over the same batch recalls.
+        """
+        query, data = path_graph([0, 9, 1]), path_graph([0, 2, 1, 1, 0])
+        base = SigmoConfig(refinement_iterations=3)
+        wild = dataclasses.replace(base, wildcard_label=9)
+        engine = SigmoEngine([query], [data], base)
+        ran = engine.run(config=wild)
+        fresh = SigmoEngine([query], [data], wild).run()
+        assert ran.filter_result.packing.n_labels == 3
+        assert fresh.filter_result.packing.n_labels == 3
+        assert_same_result(ran, fresh)
+        session = engine.session()
+        before = session.artifact_stats.as_dict()
+        session.match(engine.data, config=wild)
+        after = session.artifact_stats.as_dict()
+        assert after["hits"] - before["hits"] == 2
+        assert after["misses"] == before["misses"]
 
 
 class TestIterationSweep:

@@ -1,4 +1,4 @@
-"""Unit tests of the stage graph, artifact cache, and execution policies."""
+"""Unit tests of the artifact cache, its fingerprint, and the pool policies."""
 
 import dataclasses
 
@@ -9,88 +9,31 @@ from repro.core.csrgo import CSRGO
 from repro.graph.generators import random_connected_graph
 from repro.pipeline import (
     ArtifactCache,
-    ChunkingPolicy,
-    MemoryBudgetPolicy,
-    PIPELINE_STAGES,
     RetryPolicy,
-    StageArtifact,
-    TruncationPolicy,
     derive_n_labels,
     filter_fingerprint,
     partition_slices,
-    validate_stage_graph,
 )
-from repro.pipeline.stages import StageSpec
 
 pytestmark = pytest.mark.pipeline
 
 
-def _noop(state):  # placeholder runner for synthetic graphs
-    return None
-
-
-def spec(name, requires=(), group=None, cacheable=False):
-    return StageSpec(
-        name=name, requires=tuple(requires), runner=_noop, group=group,
-        cacheable=cacheable,
-    )
-
-
-class TestStageGraph:
-    def test_builtin_graph_is_valid(self):
-        validate_stage_graph(PIPELINE_STAGES)
-        assert [s.name for s in PIPELINE_STAGES] == [
-            "convert", "init-candidates", "refine", "map", "join",
-        ]
-
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ValueError, match="duplicate stage name"):
-            validate_stage_graph((spec("a"), spec("a")))
-
-    def test_dependency_must_run_earlier(self):
-        with pytest.raises(ValueError, match="does not\\s+run before"):
-            validate_stage_graph((spec("a", requires=("b",)), spec("b")))
-        with pytest.raises(ValueError, match="does not\\s+run before"):
-            validate_stage_graph((spec("a", requires=("missing",)),))
-
-    def test_group_must_be_contiguous(self):
-        stages = (
-            spec("a", group="g"),
-            spec("b"),
-            spec("c", group="g"),
-        )
-        with pytest.raises(ValueError, match="split by an intervening stage"):
-            validate_stage_graph(stages)
-
-    def test_cacheable_stage_must_close_its_group(self):
-        stages = (
-            spec("a", group="g", cacheable=True),
-            spec("b", group="g"),
-        )
-        with pytest.raises(ValueError, match="must be the tail"):
-            validate_stage_graph(stages)
-
-
 class TestArtifactCache:
-    def art(self, stage, key, value=None):
-        return StageArtifact(stage=stage, fingerprint=(key,), value=value)
-
     def test_hit_miss_store_counters(self):
         cache = ArtifactCache()
         assert cache.get("refine", ("x",)) is None
-        cache.put(self.art("refine", "x", 1))
-        hit = cache.get("refine", ("x",))
-        assert hit is not None and hit.value == 1
+        cache.put("refine", ("x",), 1)
+        assert cache.get("refine", ("x",)) == 1
         assert cache.stats.as_dict() == {
             "hits": 1, "misses": 1, "evictions": 0, "stores": 1,
         }
 
     def test_lru_eviction_order(self):
         cache = ArtifactCache(max_entries=2)
-        cache.put(self.art("refine", "a"))
-        cache.put(self.art("refine", "b"))
+        cache.put("refine", ("a",), "A")
+        cache.put("refine", ("b",), "B")
         cache.get("refine", ("a",))  # refresh a; b is now the LRU entry
-        cache.put(self.art("refine", "c"))
+        cache.put("refine", ("c",), "C")
         assert cache.get("refine", ("a",)) is not None
         assert cache.get("refine", ("b",)) is None
         assert cache.stats.evictions == 1
@@ -98,16 +41,16 @@ class TestArtifactCache:
 
     def test_reinsert_refreshes_value_and_recency(self):
         cache = ArtifactCache(max_entries=2)
-        cache.put(self.art("refine", "a", 1))
-        cache.put(self.art("refine", "b"))
-        cache.put(self.art("refine", "a", 2))  # refresh: a is now newest
-        cache.put(self.art("refine", "c"))  # evicts b
-        assert cache.get("refine", ("a",)).value == 2
+        cache.put("refine", ("a",), 1)
+        cache.put("refine", ("b",), "B")
+        cache.put("refine", ("a",), 2)  # refresh: a is now newest
+        cache.put("refine", ("c",), "C")  # evicts b
+        assert cache.get("refine", ("a",)) == 2
         assert cache.get("refine", ("b",)) is None
 
     def test_clear_keeps_stats(self):
         cache = ArtifactCache()
-        cache.put(self.art("refine", "a"))
+        cache.put("refine", ("a",), "A")
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.stores == 1
@@ -161,13 +104,6 @@ class TestFingerprint:
 
 
 class TestPolicies:
-    def test_chunking_units_cover_the_range(self):
-        units = ChunkingPolicy(10).units(0, 25)
-        assert [(u.start, u.stop) for u in units] == [(0, 10), (10, 20), (20, 25)]
-        assert [u.size for u in units] == [10, 10, 5]
-        with pytest.raises(ValueError, match="chunk_size"):
-            ChunkingPolicy(0)
-
     def test_partition_slices_are_deterministic_blocks(self):
         assert partition_slices(30, 2) == [(0, 15), (15, 30)]
         assert partition_slices(30, 4) == [(0, 8), (8, 16), (16, 24), (24, 30)]
@@ -188,18 +124,3 @@ class TestPolicies:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError, match="backoff_base"):
             RetryPolicy(backoff_base=-1.0)
-
-    def test_memory_budget_policy(self):
-        unlimited = MemoryBudgetPolicy(capacity_bytes=None)
-        assert unlimited.auto_chunk_size(10, 20.0, 100) == (100, None)
-        bounded = MemoryBudgetPolicy(capacity_bytes=1 << 30)
-        size, note = bounded.auto_chunk_size(10, 20.0, 100)
-        assert size >= 1 and note is None
-        tiny = MemoryBudgetPolicy(capacity_bytes=1)
-        size, note = tiny.auto_chunk_size(10_000, 10_000.0, 100)
-        assert size == 1 and note  # degraded to single-graph chunks
-
-    def test_truncation_policy_validates_mode(self):
-        assert TruncationPolicy().on_truncate == "resume"
-        with pytest.raises(ValueError, match="on_truncate"):
-            TruncationPolicy(on_truncate="abort")

@@ -19,6 +19,7 @@ from repro.runtime import (
     run_resilient,
     workload_fingerprint,
 )
+from repro.runtime import telemetry
 from repro.runtime.resilient import predict_chunk_footprint
 
 pytestmark = pytest.mark.robustness
@@ -113,6 +114,25 @@ class TestOOMDegradation:
         assert result.status == COMPLETE
         assert result.n_chunks > 1
         assert_equals_serial(result, serial)
+
+    def test_auto_chunk_size_degrades_to_single_graphs(self, workload):
+        queries, data = workload
+        # no chunk size can fit this pool: auto-sizing records the
+        # infeasibility, degrades to single-graph chunks and carries on
+        pool = DeviceMemoryPool(capacity_bytes=16, reserve_fraction=0.0)
+        result = run_resilient(
+            queries, data[:4], chunk_size=None, memory=pool, max_attempts=2
+        )
+        (sizing,) = [
+            a for a in result.report.attempts if a.unit == "auto-chunk-size"
+        ]
+        assert sizing.outcome == telemetry.INFEASIBLE
+        assert sizing.chunk_size == 1
+        assert "bitmap bytes" in sizing.detail
+        assert result.status == PARTIAL
+        assert [(rec.start, rec.stop) for rec in result.chunk_records] == [
+            (0, 1), (1, 2), (2, 3), (3, 4),
+        ]
 
     def test_exhausted_attempts_go_partial(self, workload):
         queries, data = workload
