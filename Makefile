@@ -31,8 +31,7 @@ baseline:
 test:
 	$(PY) -m pytest -x -q
 
-# Tier-1 plus each `check-*` target below: every gate a CI job runs, and
-# check-obs, which CI leaves out until its filter-time baseline holds.
+# Tier-1 plus each `check-*` target below: every gate a CI job runs.
 check: test check-analysis check-backends check-pipeline check-slo check-robustness check-perf check-serve check-obs
 
 # Backend gate: the repro.xp registry and cross-backend parity suite

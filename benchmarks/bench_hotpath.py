@@ -3,7 +3,7 @@
 
 Measures the join-stage wall clock of the scalar stack-DFS reference
 backend against the accelerated dispatch (``join_backend="auto"``, whose
-calibrated cost model routes many-small-pair batches to the fused
+fixed crossover rule routes many-small-pair batches to the fused
 whole-batch table and enumeration-heavy pairs to the per-pair tabular
 backend) on seeded suites, and writes/checks the committed
 ``BENCH_perf.json``.  Every suite also times a forced-fused arm
@@ -116,7 +116,7 @@ def _join_seconds(engine: SigmoEngine, mode: str, repeats: int) -> tuple[float, 
 
 #: Benchmark arms: (row label, forced/auto ``join_backend``).  The fused
 #: arm times the whole-batch table on every pair regardless of what the
-#: cost model would pick — the raw batch-backend cost next to the
+#: dispatch rule would pick — the raw batch-backend cost next to the
 #: dispatched mix.
 ARMS = (
     ("reference", "dfs"),

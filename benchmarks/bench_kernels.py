@@ -17,7 +17,7 @@ from repro.core.filtering import IterativeFilter, initialize_candidates
 from repro.core.join import run_join
 from repro.core.mapping import build_gmcr
 from repro.core.signatures import SignatureState
-from repro.pipeline.artifacts import derive_n_labels
+from repro.pipeline import derive_n_labels
 from repro.utils.bitops import pack_bool_rows
 
 

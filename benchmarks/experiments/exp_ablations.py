@@ -33,7 +33,7 @@ from repro.core.filtering import IterativeFilter
 from repro.core.join import run_join
 from repro.core.join_bfs import run_bfs_join
 from repro.core.mapping import GMCR, build_gmcr
-from repro.pipeline.artifacts import derive_n_labels
+from repro.pipeline import derive_n_labels
 
 #: Ablations run on a subset so four extra pipeline runs stay cheap.
 N_QUERIES = 150

@@ -14,9 +14,14 @@ is the reproduction's hot-path engine room.  It provides:
   stack-DFS reference backend in Find All — including
   :class:`~repro.core.join.JoinStats` counters, embedding order and
   budget truncation.
+* :mod:`repro.accel.fused` — the whole-batch fused frontier table: every
+  fused-dispatched pair of a batch rides one table with a leading pair
+  column.
 * :mod:`repro.accel.dispatch` — the per-(data graph, query graph) backend
-  choice: a plan-cost heuristic under ``config.join_backend="auto"``,
-  with ``"dfs"`` / ``"tabular"`` forcing either backend.
+  choice under ``config.join_backend="auto"``: one fixed rule keyed on
+  :data:`~repro.accel.dispatch.FUSED_MAX_ELEMENTS` (single-node query →
+  DFS, small pairs → fused, enumeration-heavy pairs → tabular), with
+  ``"dfs"`` / ``"tabular"`` / ``"fused"`` forcing one backend.
 * :mod:`repro.accel.memo` — content-hash memoization of signature count
   matrices and compiled :class:`~repro.core.join.QueryPlan` lists, keyed
   on every config field that affects them, shared across engine runs.
@@ -25,9 +30,10 @@ is the reproduction's hot-path engine room.  It provides:
 from repro.accel.dispatch import (
     BACKEND_AUTO,
     BACKEND_DFS,
+    BACKEND_FUSED,
     BACKEND_TABULAR,
+    FUSED_MAX_ELEMENTS,
     JOIN_BACKENDS,
-    select_backend,
 )
 from repro.accel.local_view import LocalCSRView, get_local_view, local_view_cache
 from repro.accel.memo import (
@@ -41,7 +47,9 @@ from repro.accel.tabular import tabular_join_pair
 __all__ = [
     "BACKEND_AUTO",
     "BACKEND_DFS",
+    "BACKEND_FUSED",
     "BACKEND_TABULAR",
+    "FUSED_MAX_ELEMENTS",
     "JOIN_BACKENDS",
     "LocalCSRView",
     "MemoStats",
@@ -49,7 +57,6 @@ __all__ = [
     "get_local_view",
     "local_view_cache",
     "plan_memo",
-    "select_backend",
     "signature_memo",
     "tabular_join_pair",
 ]

@@ -72,7 +72,7 @@ class SigmoConfig:
         so artifacts from different backends never collide.
     join_backend:
         Join backend selection: ``"auto"`` picks per (data, query) pair
-        via the calibrated plan-cost model (:mod:`repro.accel.dispatch`);
+        by the fixed dispatch rule of :mod:`repro.accel.dispatch`;
         ``"dfs"`` forces the scalar stack-DFS reference backend,
         ``"tabular"`` forces the per-pair vectorized tabular frontier
         backend, ``"fused"`` forces the whole-batch fused frontier table

@@ -218,6 +218,19 @@ def refine_candidates(
         sp.set(threshold_rows=n_rows)
 
 
+def derive_n_labels(query: CSRGO, data: CSRGO, wildcard_label: int | None) -> int:
+    """Label-vocabulary size shared by every stage (wildcard excluded).
+
+    The max over the query labels (minus the wildcard, whose rows match
+    anything) and the data batch's label count, floored at 1.
+    """
+    q_labels = query.labels
+    if wildcard_label is not None:
+        q_labels = q_labels[q_labels != wildcard_label]
+    q_max = int(q_labels.max()) + 1 if q_labels.size else 0
+    return max(q_max, data.n_labels, 1)
+
+
 class IterativeFilter:
     """Runs the full multi-iteration filtering phase.
 
@@ -228,8 +241,8 @@ class IterativeFilter:
     config:
         Engine configuration (iterations, word width, signature bits).
     n_labels:
-        Optional explicit label-vocabulary size; defaults to the max label
-        across both batches plus one.
+        Optional explicit label-vocabulary size; defaults to
+        :func:`derive_n_labels`.
     """
 
     def __init__(
@@ -243,12 +256,7 @@ class IterativeFilter:
         self.data = data
         self.config = config or SigmoConfig()
         if n_labels is None:
-            wildcard = self.config.wildcard_label
-            q_labels = query.labels
-            if wildcard is not None:
-                q_labels = q_labels[q_labels != wildcard]
-            q_max = int(q_labels.max()) + 1 if q_labels.size else 0
-            n_labels = max(q_max, data.n_labels, 1)
+            n_labels = derive_n_labels(query, data, self.config.wildcard_label)
         self.n_labels = n_labels
         freq = xp.bincount(data.labels, minlength=n_labels).astype(xp.float64)
         self.packing = self.config.packing_for(freq)

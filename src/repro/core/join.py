@@ -28,7 +28,6 @@ from repro.accel.dispatch import (
     BACKEND_FUSED,
     BACKEND_TABULAR,
     PlanCostModel,
-    get_cost_model,
 )
 from repro.accel.fused import FusedOutcome, build_fused_plan, fused_join, slot_rows
 from repro.accel.local_view import LocalCSRView, get_batch_view, get_local_view
@@ -198,9 +197,8 @@ class JoinResult:
         Find First only: frontier depths at which the fused batched
         early-exit retired a matched pair's remaining rows.
     pair_cost_estimates:
-        Parallel to ``gmcr.query_graph_indices``: the plan-cost model's
-        pre-dispatch work estimate per pair (``repro calibrate``
-        regresses wall-clock on these).
+        Parallel to ``gmcr.query_graph_indices``: the pre-dispatch work
+        estimate per pair that dispatch and fused packing key on.
     """
 
     total_matches: int = 0
@@ -372,18 +370,9 @@ def compile_plans(
     )
 
 
-#: Back-compat alias: the historical per-run dict-building view is now the
-#: cached sorted-CSR view of :mod:`repro.accel.local_view`, which exposes
-#: the same ``start`` / ``width`` / ``edge_label_of`` interface for the
-#: scalar backends (the dict is built lazily, at most once per batch and
-#: graph) plus the vectorized ``lookup_edge_labels`` the tabular backend
-#: uses.
-_LocalGraphView = LocalCSRView
-
-
 @kernel(writes=("stats", "record"))
 def join_pair(
-    view: _LocalGraphView,
+    view: LocalCSRView,
     plan: QueryPlan,
     cand_lists: list[np.ndarray],
     n_graph_nodes: int,
@@ -515,14 +504,13 @@ def run_join(
     plans: list[QueryPlan] | None = None,
     budget: JoinBudget | None = None,
     start_pair: int = 0,
-    cost_model: "PlanCostModel | None" = None,
 ) -> JoinResult:
     """Stage 6 of the pipeline: join every viable pair.
 
     The engine's single join dispatch point, in three passes:
 
     1. **Planning** — slice every pair's candidate lists from the bitmap
-       (binary-search views, no copies) and let the plan-cost model
+       (binary-search views, no copies) and let the dispatch rule
        (:class:`repro.accel.dispatch.PlanCostModel`) pick each pair's
        backend under ``config.join_backend``: scalar DFS
        (:func:`join_pair`), per-pair tabular
@@ -531,7 +519,7 @@ def run_join(
     2. **Fused waves** — all fused-dispatched pairs of the batch run as
        one frontier table (one wave) against the cached whole-batch edge
        index (:func:`repro.accel.local_view.get_batch_view`), packed in
-       the cost model's ordering.  Under a :class:`JoinBudget`, waves
+       descending estimated cost.  Under a :class:`JoinBudget`, waves
        are instead sized lazily by the remaining budget headroom so a
        truncated run never pays for far-future pairs.
     3. **Replay** — pairs are accounted in GMCR order: DFS/tabular pairs
@@ -551,9 +539,6 @@ def run_join(
     start_pair:
         First GMCR pair index to process (resume token from a previous
         truncated run); pairs before it are skipped untouched.
-    cost_model:
-        Dispatch cost model override; the process-wide model
-        (:func:`repro.accel.dispatch.get_cost_model`) by default.
     """
     if mode not in (FIND_ALL, FIND_FIRST):
         raise ValueError(f"mode must be '{FIND_ALL}' or '{FIND_FIRST}'")
@@ -562,7 +547,7 @@ def run_join(
     config = config or SigmoConfig()
     timer = timer or StageTimer()
     find_first = mode == FIND_FIRST
-    model = cost_model if cost_model is not None else get_cost_model()
+    model = PlanCostModel()
     result = JoinResult(
         pair_matches=xp.zeros(gmcr.n_pairs, dtype=xp.int64),
         pair_visits=xp.zeros(gmcr.n_pairs, dtype=xp.int64),
@@ -632,7 +617,7 @@ def run_join(
                 nonempty = (counts > 0).all(axis=0)
                 estimates = model.estimate_elements_batch(plan.n_nodes, counts)
                 choices = model.choose_batch(
-                    find_first, plan.n_nodes, counts, config.join_backend
+                    plan.n_nodes, counts, config.join_backend
                 )
                 cached = (rows, nonempty, estimates, choices)
                 qg_plan_cache[qg] = cached

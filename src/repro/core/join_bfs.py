@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.accel.local_view import LocalCSRView
 from repro.core.candidates import CandidateBitmap
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
-from repro.core.join import QueryPlan, _LocalGraphView, build_query_plan
+from repro.core.join import QueryPlan, build_query_plan
 from repro.core.mapping import GMCR
 from repro.utils.bitops import bit_positions
 from repro.utils.timing import StageTimer
@@ -53,7 +54,7 @@ class BfsJoinResult:
 
 
 def bfs_join_pair(
-    view: _LocalGraphView,
+    view: LocalCSRView,
     plan: QueryPlan,
     cand_lists: list[np.ndarray],
 ) -> tuple[int, int]:
@@ -133,7 +134,7 @@ def run_bfs_join(
             if lo == hi:
                 continue
             d_start, d_stop = data.graph_node_range(d)
-            view = _LocalGraphView(data, d)
+            view = LocalCSRView(data, d)
             for pair_idx in range(lo, hi):
                 qg = int(gmcr.query_graph_indices[pair_idx])
                 plan = plans[qg]

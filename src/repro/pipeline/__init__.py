@@ -16,8 +16,9 @@ Public surface:
   retry policy.
 """
 
+from repro.core.filtering import derive_n_labels
 from repro.pipeline.aggregate import AggregateResult, ResultAccumulator, merge_join_stats
-from repro.pipeline.artifacts import ArtifactCache, derive_n_labels, filter_fingerprint
+from repro.pipeline.artifacts import ArtifactCache, filter_fingerprint
 from repro.pipeline.policies import RetryPolicy, partition_slices
 from repro.pipeline.session import MatcherSession
 from repro.pipeline.stages import run_pipeline

@@ -97,19 +97,6 @@ class ArtifactCache:
         self._entries.clear()
 
 
-def derive_n_labels(query: CSRGO, data: CSRGO, wildcard_label: int | None) -> int:
-    """Label-vocabulary size shared by every stage (wildcard excluded).
-
-    The max over the query labels (minus the wildcard, whose rows match
-    anything) and the data batch's label count, floored at 1.
-    """
-    q_labels = query.labels
-    if wildcard_label is not None:
-        q_labels = q_labels[q_labels != wildcard_label]
-    q_max = int(q_labels.max()) + 1 if q_labels.size else 0
-    return max(q_max, data.n_labels, 1)
-
-
 def filter_fingerprint(
     query: CSRGO, data: CSRGO, n_labels: int, config: SigmoConfig
 ) -> tuple:

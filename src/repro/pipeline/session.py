@@ -35,6 +35,7 @@ from repro.core.results import MatchResult
 from repro.graph.batch import GraphBatch
 from repro.pipeline.artifacts import ArtifactCache
 from repro.pipeline.stages import run_pipeline
+from repro.xp.numpy_backend import scipy_sparse
 
 #: Data batches whose conversion a session keeps alive (keyed by object
 #: identity, so passing the same list again skips ``GraphBatch`` / CSR-GO
@@ -75,11 +76,6 @@ class MatcherSession:
         a fresh one of :data:`MAX_CACHED_ARTIFACTS` entries by default.
         ``SigmoEngine`` passes its own, so engine runs and session matches
         over the same batches share recalled artifacts.
-    cost_model:
-        Join dispatch cost model pinned for the session's lifetime
-        (``None`` follows the process-wide calibrated model) — warm
-        serving sessions keep one consistent dispatch policy even if a
-        recalibration lands mid-flight.
     """
 
     def __init__(
@@ -87,14 +83,16 @@ class MatcherSession:
         queries: Iterable | GraphBatch | CSRGO,
         config: SigmoConfig | None = None,
         cache: ArtifactCache | None = None,
-        cost_model: Any = None,
     ) -> None:
         self.config = config or SigmoConfig()
-        self.cost_model = cost_model
         self._query = self._to_csrgo(queries, "query")
         # Warm the content hash now: every artifact fingerprint and memo
         # key derives from it, and it is cached on the CSRGO instance.
         self._query.content_hash()
+        if self.config.refinement_iterations > 1:
+            # Refinement past the label-only first iteration runs the
+            # signature BFS: pay its one-off import here, in setup.
+            scipy_sparse()
         # Not ``cache or ...``: an empty cache is falsy (it has __len__).
         self._artifacts = (
             cache if cache is not None else ArtifactCache(MAX_CACHED_ARTIFACTS)
@@ -153,7 +151,6 @@ class MatcherSession:
                 mode,
                 join_budget=join_budget,
                 join_start_pair=join_start_pair,
-                cost_model=self.cost_model,
                 cache=self._artifacts,
                 reuse=reuse,
             )

@@ -19,12 +19,10 @@ the skip.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.analysis import contracts
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
-from repro.core.filtering import IterativeFilter
+from repro.core.filtering import IterativeFilter, derive_n_labels
 from repro.core.join import JoinBudget, run_join
 from repro.core.mapping import GMCR, build_gmcr
 from repro.core.results import MatchResult, MemoryReport
@@ -33,7 +31,6 @@ from repro.pipeline.artifacts import (
     STAGE_MAP,
     STAGE_REFINE,
     ArtifactCache,
-    derive_n_labels,
     filter_fingerprint,
 )
 from repro.utils.timing import StageTimer
@@ -47,15 +44,12 @@ def run_pipeline(
     mode: str,
     join_budget: JoinBudget | None,
     join_start_pair: int,
-    cost_model: Any,
     cache: ArtifactCache,
     reuse: bool,
 ) -> MatchResult:
     """Run both CSR-GO batches through the pipeline; return the match result.
 
-    The whole run executes under ``config.array_backend``.  ``cost_model``
-    overrides the join's dispatch model (``None``: the process-wide
-    calibrated one).  ``reuse`` lets the run recall the ``refine``/``map``
+    The whole run executes under ``config.array_backend``.  ``reuse`` lets the run recall the ``refine``/``map``
     artifacts from ``cache``; storing happens regardless, so a plain run
     leaves them behind for a later resume.
     """
@@ -113,7 +107,6 @@ def run_pipeline(
                 timer=timer,
                 budget=join_budget,
                 start_pair=join_start_pair,
-                cost_model=cost_model,
             )
             root.set(matches=join_result.total_matches)
 

@@ -11,6 +11,8 @@ is importable and drops to the dense fallback otherwise.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.xp.contract import MAX_FLAT_STRIDE
@@ -25,8 +27,7 @@ class ScipySignatureKernel:
     def __init__(
         self, row_offsets, column_indices, n_nodes, labels, mask, n_labels
     ) -> None:
-        from scipy import sparse
-
+        sparse = scipy_sparse()
         n = int(n_nodes)
         adjacency = sparse.csr_matrix(
             (
@@ -78,12 +79,20 @@ class ScipySignatureKernel:
         return totals.ravel() - 1
 
 
-def _have_scipy() -> bool:
+@functools.cache
+def scipy_sparse():
+    """``scipy.sparse``, or ``None`` when scipy is not installed.
+
+    Resolved once per process.  The cold import takes a noticeable
+    fraction of a second, so :class:`~repro.pipeline.session.MatcherSession`
+    calls this during setup when its runs will need the signature kernel,
+    keeping the one-off cost out of the first filter stage.
+    """
     try:
-        import scipy.sparse  # noqa: F401
+        from scipy import sparse
     except ImportError:
-        return False
-    return True
+        return None
+    return sparse
 
 
 class NumpyBackend:
@@ -152,7 +161,7 @@ class NumpyBackend:
         self, row_offsets, column_indices, n_nodes, labels, mask, n_labels
     ):
         """Batched neighborhood-signature BFS state."""
-        if _have_scipy():
+        if scipy_sparse() is not None:
             return ScipySignatureKernel(
                 row_offsets, column_indices, n_nodes, labels, mask, n_labels
             )

@@ -1,148 +1,105 @@
-"""Backend selection: the calibrated plan-cost model and the config override."""
+"""Backend selection: the fixed dispatch rule and the config override."""
 
+import numpy as np
 import pytest
 
+from repro.accel import dispatch
 from repro.accel.dispatch import (
     BACKEND_AUTO,
     BACKEND_DFS,
     BACKEND_FUSED,
     BACKEND_TABULAR,
+    FUSED_MAX_ELEMENTS,
     JOIN_BACKENDS,
-    MODE_FIND_ALL,
-    MODE_FIND_FIRST,
-    TABULAR_MIN_ELEMENTS,
-    BackendCost,
     PlanCostModel,
-    get_cost_model,
-    select_backend,
-    set_cost_model,
 )
 from repro.core.config import SigmoConfig
+from repro.core.join import FIND_ALL, FIND_FIRST
+from tests.accel.test_parity import _run, three_backend_mix
 
 pytestmark = pytest.mark.perf_accel
 
-
-def _flat_model(**costs):
-    """A model whose Find All / Find First tables are identical.
-
-    ``costs`` maps backend name -> (pair_overhead, element_cost).
-    """
-    table = {
-        backend: BackendCost(*costs[backend])
-        for backend in (BACKEND_DFS, BACKEND_TABULAR, BACKEND_FUSED)
-    }
-    return PlanCostModel(
-        coefficients={MODE_FIND_ALL: dict(table), MODE_FIND_FIRST: dict(table)},
-        source="test",
-    )
+def _choose(*pairs, requested=BACKEND_AUTO):
+    """Backends of ``pairs`` (per-depth candidate sizes) sharing one plan."""
+    counts = np.array(pairs, dtype=np.int64).T
+    return PlanCostModel().choose_batch(counts.shape[0], counts, requested)
 
 
 class TestCostModel:
     def test_estimate_is_root_plus_first_expansion(self):
-        assert PlanCostModel.estimate_elements(1, [7]) == 7
+        model = PlanCostModel()
+        assert model.estimate_elements_batch(1, np.array([[7]])).tolist() == [7]
         # Deeper candidate lists never enter the estimate: pruning makes
         # them unknowable pre-join.
-        assert PlanCostModel.estimate_elements(3, [4, 5, 10_000]) == 4 + 4 * 5
-
-    def test_crossover_follows_coefficients(self):
-        # dfs: 10 + 1*E, fused: 55 + 0.1*E  ->  crossover at E = 50.
-        model = _flat_model(dfs=(10.0, 1.0), tabular=(100.0, 1.0), fused=(55.0, 0.1))
-        assert model.choose(False, 2, [5, 9]) == BACKEND_DFS  # E=50: tie -> dfs
-        assert model.choose(False, 2, [5, 10]) == BACKEND_FUSED  # E=55
-
-    def test_single_node_query_stays_on_dfs(self):
-        # Nothing to vectorize at depth 1 — even a model that makes DFS
-        # look infinitely expensive cannot move the pair off it.
-        model = _flat_model(dfs=(1e9, 1e9), tabular=(0.0, 0.0), fused=(0.0, 0.0))
-        assert model.choose(False, 1, [10_000]) == BACKEND_DFS
-
-    def test_fused_unavailable_falls_back_to_tabular(self):
-        model = _flat_model(dfs=(1e9, 1e9), tabular=(0.0, 0.0), fused=(0.0, 0.0))
-        assert model.choose(False, 3, [100, 100]) == BACKEND_FUSED
-        assert (
-            model.choose(False, 3, [100, 100], fused_available=False)
-            == BACKEND_TABULAR
-        )
+        deep = np.array([[4, 2], [5, 0], [10_000, 9]])
+        assert model.estimate_elements_batch(3, deep).tolist() == [4 + 4 * 5, 2]
 
     def test_default_crossover_matches_static_threshold(self):
-        # The committed Find All coefficients reproduce the historical
-        # static dfs/tabular threshold: with sizes [1, N] the estimate is
-        # 1 + N, and the crossover lands right at TABULAR_MIN_ELEMENTS.
-        below = select_backend(
-            False, 2, [1, TABULAR_MIN_ELEMENTS - 1], fused_available=False
-        )
-        at = select_backend(
-            False, 2, [1, TABULAR_MIN_ELEMENTS], fused_available=False
-        )
-        assert below == BACKEND_DFS
-        assert at == BACKEND_TABULAR
+        # E = c0 + c0*c1: [1, 1793] sits exactly on FUSED_MAX_ELEMENTS,
+        # [1, 1794] one element above it.
+        assert FUSED_MAX_ELEMENTS == 1794
+        at, above = [1, FUSED_MAX_ELEMENTS - 1], [1, FUSED_MAX_ELEMENTS]
+        assert _choose(at, above) == [BACKEND_FUSED, BACKEND_TABULAR]
+        # The same edge through a deeper plan: only c0 and c1 count.
+        assert _choose(at + [10**6, 10**6], above + [0, 0]) == [
+            BACKEND_FUSED,
+            BACKEND_TABULAR,
+        ]
+
+    def test_crossover_follows_coefficients(self, monkeypatch):
+        # The rule reads the module constant at call time.
+        monkeypatch.setattr(dispatch, "FUSED_MAX_ELEMENTS", 50)
+        assert _choose([5, 9], [5, 10]) == [BACKEND_FUSED, BACKEND_TABULAR]
 
     def test_find_first_is_a_cost_decision(self):
-        # The old heuristic pinned Find First to DFS; the calibrated
-        # model routes moderate pairs to the fused table and
-        # enumeration-heavy pairs to the per-pair tabular pass.
-        assert select_backend(True, 5, [10, 20]) == BACKEND_FUSED
-        assert select_backend(True, 5, [1000, 1000]) == BACKEND_TABULAR
+        # Find First routes every pair exactly as Find All does, on a
+        # batch whose inputs exercise all three branches of the rule.
+        queries, data = three_backend_mix()
+        find_all = _run(queries, data, BACKEND_AUTO, mode=FIND_ALL)
+        find_first = _run(queries, data, BACKEND_AUTO, mode=FIND_FIRST)
+        split = find_all.join_result.backend_pairs
+        assert min(split.values()) > 0
+        assert find_first.join_result.backend_pairs == split
 
     def test_fused_tabular_crossover(self):
-        # The fused table owns the many-small-pairs regime; above the
-        # fused/tabular crossover (~1800 estimated elements) the
-        # per-pair tabular pass is cheaper in both modes.
-        for find_first in (False, True):
-            assert select_backend(find_first, 3, [10, 50]) == BACKEND_FUSED
-            assert select_backend(find_first, 3, [60, 60]) == BACKEND_TABULAR
+        # Molecular-sized and empty pairs ride the fused table; 60x60
+        # (E = 3660) is past the crossover.
+        assert _choose([10, 50], [0, 0], [60, 60]) == [
+            BACKEND_FUSED,
+            BACKEND_FUSED,
+            BACKEND_TABULAR,
+        ]
+
+    def test_single_node_query_stays_on_dfs(self):
+        # Nothing to vectorize at depth 1, whatever the candidate count.
+        assert _choose([1], [10**6]) == [BACKEND_DFS, BACKEND_DFS]
 
     def test_ordering_descending_and_stable(self):
-        model = get_cost_model()
+        model = PlanCostModel()
         assert model.ordering([5, 9, 5, 12]) == [3, 1, 0, 2]
         assert model.ordering([]) == []
-
-    def test_payload_round_trip(self):
-        model = get_cost_model()
-        again = PlanCostModel.from_payload(model.to_payload())
-        assert again.source == model.source
-        for mode in (MODE_FIND_ALL, MODE_FIND_FIRST):
-            for backend in (BACKEND_DFS, BACKEND_TABULAR, BACKEND_FUSED):
-                assert again.coefficients[mode][backend] == (
-                    model.coefficients[mode][backend]
-                )
-
-    def test_payload_missing_backend_rejected(self):
-        payload = get_cost_model().to_payload()
-        del payload["coefficients"][MODE_FIND_ALL][BACKEND_FUSED]
-        with pytest.raises(ValueError, match="missing backend"):
-            PlanCostModel.from_payload(payload)
-        with pytest.raises(ValueError, match="missing mode"):
-            PlanCostModel.from_payload({"coefficients": {}})
-
-    def test_set_cost_model_installs_and_resets(self):
-        pinned = _flat_model(
-            dfs=(0.0, 0.0), tabular=(1e9, 1e9), fused=(1e9, 1e9)
-        )
-        try:
-            assert set_cost_model(pinned) is pinned
-            assert get_cost_model() is pinned
-            assert select_backend(False, 4, [9999, 9999]) == BACKEND_DFS
-        finally:
-            set_cost_model(None)
-        assert get_cost_model().source == "default"
 
 
 class TestOverride:
     def test_forced_backends_win_over_model(self):
-        # Forcing beats every model rule, including the depth-1 guard.
-        assert select_backend(True, 1, [1], BACKEND_TABULAR) == BACKEND_TABULAR
-        assert select_backend(True, 1, [1], BACKEND_FUSED) == BACKEND_FUSED
-        assert select_backend(False, 9, [9999, 9999], BACKEND_DFS) == BACKEND_DFS
+        # Forcing beats every rule branch, including the depth-1 guard.
+        for forced in (BACKEND_DFS, BACKEND_TABULAR, BACKEND_FUSED):
+            assert _choose([1], requested=forced) == [forced]
+            assert _choose([1, 1], [1, FUSED_MAX_ELEMENTS], requested=forced) == [
+                forced,
+                forced,
+            ]
 
     def test_auto_is_default(self):
-        assert select_backend(False, 2, [100, 100]) == select_backend(
-            False, 2, [100, 100], BACKEND_AUTO
+        counts = np.array([[100], [100]])
+        model = PlanCostModel()
+        assert model.choose_batch(2, counts) == model.choose_batch(
+            2, counts, BACKEND_AUTO
         )
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="join_backend"):
-            select_backend(False, 2, [10, 10], "gpu")
+            _choose([10, 10], requested="gpu")
 
 
 class TestConfigKnob:

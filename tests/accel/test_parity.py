@@ -15,6 +15,8 @@ from repro.chem.datasets import build_benchmark
 from repro.core.config import SigmoConfig
 from repro.core.engine import SigmoEngine
 from repro.core.join import FIND_ALL, FIND_FIRST, JoinBudget
+from repro.graph import LabeledGraph
+from repro.graph.generators import path_graph, ring_graph
 from tests.conftest import random_case
 
 pytestmark = pytest.mark.perf_accel
@@ -154,28 +156,26 @@ class TestBudgetTruncationParity:
             assert total == full.total_matches, backend
 
 
-def _mix_forcing_model():
-    """A cost model that splits the seeded workload between dfs and fused.
+#: A node label no generated molecule or fragment query carries.
+SPARSE_LABEL = 10
 
-    DFS is pure slope, fused pure overhead, so small pairs go scalar and
-    large pairs ride the fused table — guaranteeing a genuine mix.
+
+def three_backend_mix(seed=4):
+    """A seeded batch whose inputs alone make ``auto`` use all three backends.
+
+    On top of the benchmark's molecular pairs (fused), a single-node
+    query goes to DFS, and a 3-path of :data:`SPARSE_LABEL` nodes against
+    a 48-ring of the same label (``E = 48 + 48 * 48``, above
+    ``FUSED_MAX_ELEMENTS``) goes per-pair tabular.  The sparse label keeps
+    that pair the only one touching the ring.
     """
-    from repro.accel.dispatch import (
-        MODE_FIND_ALL,
-        MODE_FIND_FIRST,
-        BackendCost,
-        PlanCostModel,
-    )
-
-    table = {
-        "dfs": BackendCost(pair_overhead=0.0, element_cost=1e-6),
-        "tabular": BackendCost(pair_overhead=1.0, element_cost=1.0),
-        "fused": BackendCost(pair_overhead=50e-6, element_cost=0.0),
-    }
-    return PlanCostModel(
-        coefficients={MODE_FIND_ALL: dict(table), MODE_FIND_FIRST: dict(table)},
-        source="test-mix",
-    )
+    ds = build_benchmark(scale=1.0, n_queries=16, n_data_graphs=40, seed=seed)
+    queries = list(ds.queries) + [
+        LabeledGraph([2]),
+        path_graph([SPARSE_LABEL] * 3),
+    ]
+    data = list(ds.data) + [ring_graph(48, [SPARSE_LABEL] * 48)]
+    return queries, data
 
 
 class TestMixedDispatch:
@@ -188,19 +188,39 @@ class TestMixedDispatch:
         assert_find_all_parity(ra, rc)
 
     def test_auto_mixes_backends_without_changing_results(self):
-        from repro.accel.dispatch import set_cost_model
-
-        ds = build_benchmark(scale=1.0, n_queries=24, n_data_graphs=60, seed=7)
-        set_cost_model(_mix_forcing_model())
-        try:
-            rc = _run(ds.queries, ds.data, "auto")
-        finally:
-            set_cost_model(None)
+        queries, data = three_backend_mix(seed=7)
+        rc = _run(queries, data, "auto")
         split = rc.join_result.backend_pairs
-        # The forced crossover exercises both backends under auto.
-        assert split["dfs"] > 0 and split["fused"] > 0
-        ra = _run(ds.queries, ds.data, "dfs")
+        # The inputs alone exercise every backend under auto.
+        assert split["dfs"] > 0 and split["fused"] > 0 and split["tabular"] > 0
+        ra = _run(queries, data, "dfs")
         assert_find_all_parity(ra, rc)
+
+    def test_three_backend_mix_parity_and_resume(self):
+        queries, data = three_backend_mix()
+        full = _run(queries, data, "auto")
+        split = full.join_result.backend_pairs
+        assert split["dfs"] > 0 and split["fused"] > 0
+        assert split["tabular"] == 1
+        # Find All parity with forced DFS, recorded-embedding order included.
+        assert_find_all_parity(_run(queries, data, "dfs"), full)
+        # A budget cut mid-batch, resumed from its token, reassembles the
+        # uninterrupted run.
+        config = SigmoConfig(record_embeddings=True)
+        engine = SigmoEngine(queries, data, config)
+        budget = JoinBudget(max_visits=full.join_result.stats.candidate_visits // 2)
+        part = engine.run(join_budget=budget)
+        assert part.truncated
+        rest = engine.run(join_start_pair=part.resume_pair)
+        assert not rest.truncated
+        assert part.total_matches + rest.total_matches == full.total_matches
+        assert _embeddings(part) + _embeddings(rest) == _embeddings(full)
+        cut = part.resume_pair
+        jp, jr, jf = part.join_result, rest.join_result, full.join_result
+        assert np.array_equal(jp.pair_matches[:cut], jf.pair_matches[:cut])
+        assert np.array_equal(jr.pair_matches[cut:], jf.pair_matches[cut:])
+        for backend, pairs in jf.backend_pairs.items():
+            assert jp.backend_pairs[backend] + jr.backend_pairs[backend] == pairs
 
     def test_backend_accounting_sums(self):
         ds = build_benchmark(scale=1.0, n_queries=16, n_data_graphs=40, seed=0)

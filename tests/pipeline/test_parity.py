@@ -133,7 +133,6 @@ class TestDriverParity:
             "find-all",
             join_budget=None,
             join_start_pair=0,
-            cost_model=None,
             cache=ArtifactCache(),
             reuse=False,
         )
