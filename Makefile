@@ -5,7 +5,7 @@
 PY := python
 export PYTHONPATH := src
 
-.PHONY: lint analyze check-analysis test check check-robustness check-obs check-perf check-pipeline check-serve check-slo check-backends baseline
+.PHONY: lint analyze check-analysis test check check-robustness check-obs check-perf check-pipeline check-serve check-slo check-backends check-e2e baseline
 
 lint: analyze
 
@@ -32,7 +32,7 @@ test:
 	$(PY) -m pytest -x -q
 
 # Tier-1 plus each `check-*` target below: every gate a CI job runs.
-check: test check-analysis check-backends check-pipeline check-slo check-robustness check-perf check-serve check-obs
+check: test check-analysis check-backends check-pipeline check-slo check-robustness check-perf check-serve check-obs check-e2e
 
 # Backend gate: the repro.xp registry and cross-backend parity suite
 # (numpy vs. instrumented must agree bitwise on matches, stats, and
@@ -82,3 +82,15 @@ check-serve:
 check-perf:
 	$(PY) -m pytest -q -m perf_accel
 	$(PY) benchmarks/bench_hotpath.py --against BENCH_perf.json
+
+# End-to-end correctness gate: a short traced perfbench run of each
+# workload BENCHMARK.json declares.  perfbench exits nonzero when the
+# networkx oracle, the expected match totals, the cold/warm cache checks,
+# budgeted-resume equality or the layer invariants fail; its timings are
+# reported, not gated.
+E2E_WORKLOADS := zinc-findall zinc-findfirst-wide hot-findall zinc-budgeted
+
+check-e2e:
+	for w in $(E2E_WORKLOADS); do \
+		$(PY) perfbench/run.py --workload $$w --seed 0 --seconds 2 --trace 1 || exit 1; \
+	done

@@ -1,12 +1,13 @@
-"""Kernel-acceleration layer: cached local views, join backends, memoization.
+"""Kernel-acceleration layer: cached edge views, join backends, cache counters.
 
 The paper's throughput lives in the join stage (section 4.6); this package
 is the reproduction's hot-path engine room.  It provides:
 
 * :mod:`repro.accel.local_view` — sorted-CSR per-data-graph adjacency
-  views built with NumPy slices (no per-edge Python loop) and cached by
-  batch content hash, so iteration sweeps, chunked drivers and resilient
-  re-runs over the same batch never rebuild identical adjacency.
+  views and the whole-batch edge index, built with NumPy slices (no
+  per-edge Python loop) and cached on the data ``CSRGO`` they come from,
+  so repeated matches, resume rounds and iteration sweeps over one batch
+  never rebuild them.
 * :mod:`repro.accel.tabular` — the vectorized *tabular frontier join*: a
   Δ-Motif/GSI-style formulation that extends every partial embedding at a
   depth in one NumPy pass (candidate gather → ``np.searchsorted``
@@ -22,9 +23,10 @@ is the reproduction's hot-path engine room.  It provides:
   :data:`~repro.accel.dispatch.FUSED_MAX_ELEMENTS` (single-node query →
   DFS, small pairs → fused, enumeration-heavy pairs → tabular), with
   ``"dfs"`` / ``"tabular"`` / ``"fused"`` forcing one backend.
-* :mod:`repro.accel.memo` — content-hash memoization of signature count
-  matrices and compiled :class:`~repro.core.join.QueryPlan` lists, keyed
-  on every config field that affects them, shared across engine runs.
+* :mod:`repro.accel.memo` — process-wide hit/miss counters of the
+  per-instance caches: signature counts cached on their ``CSRGO`` and
+  compiled :class:`~repro.core.join.QueryPlan` lists cached on the
+  candidate bitmap they were ordered from.
 """
 
 from repro.accel.dispatch import (
@@ -35,7 +37,7 @@ from repro.accel.dispatch import (
     FUSED_MAX_ELEMENTS,
     JOIN_BACKENDS,
 )
-from repro.accel.local_view import LocalCSRView, get_local_view, local_view_cache
+from repro.accel.local_view import LocalCSRView, get_batch_view, get_local_view
 from repro.accel.memo import (
     MemoStats,
     clear_accel_caches,
@@ -54,8 +56,8 @@ __all__ = [
     "LocalCSRView",
     "MemoStats",
     "clear_accel_caches",
+    "get_batch_view",
     "get_local_view",
-    "local_view_cache",
     "plan_memo",
     "signature_memo",
     "tabular_join_pair",

@@ -19,31 +19,24 @@ per-edge Python loop):
 
 The scalar DFS backend still wants O(1) per-probe lookups; the view keeps
 the flat dict as a *lazy* property built from the flat arrays (one C-level
-``zip``), so the cost is paid at most once per (batch, graph) thanks to
-the content-hash cache below — not once per run.
+``zip``), so the cost is paid at most once per (batch, graph).
 
-Views are cached per batch **content hash** (not object identity), so
-iteration sweeps, chunked re-runs and resilient retries over identical
-data share views even when the ``CSRGO`` object was rebuilt.  The cache
-holds a bounded number of batches, LRU-evicted — switching batches
-invalidates the oldest entries automatically.
+Views are cached on the ``CSRGO`` instance they were carved from
+(:attr:`~repro.core.csrgo.CSRGO.derived`), keyed by array backend: every
+run over that batch object — repeated matches, resume rounds, iteration
+sweeps — shares them, and they are freed with the batch.  A rebuilt batch
+with equal content builds its own.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro import xp
-from repro.accel.memo import MemoStats
 from repro.core.csrgo import CSRGO
 
 if TYPE_CHECKING:
     import numpy as np
-
-#: Batches kept in the process-wide view cache before LRU eviction.
-VIEW_CACHE_BATCHES = 8
 
 #: Largest ``n_nodes**2`` for which :class:`BatchCSRView` materializes a
 #: dense flat-key -> label array (int8, so this caps the table at 64 MB).
@@ -188,66 +181,6 @@ class LocalCSRView:
         return int(self.flat_keys.size)
 
 
-class LocalViewCache:
-    """Content-hash-keyed cache of per-graph :class:`LocalCSRView` objects.
-
-    One bounded OrderedDict of batches (keyed by
-    :meth:`~repro.core.csrgo.CSRGO.content_hash`), each holding the lazily
-    built views of that batch's graphs.  ``stats`` counts *view-level*
-    hits/misses, which is what the hoisting tests assert: a second run
-    over the same batch must be all hits.
-    """
-
-    def __init__(self, capacity: int = VIEW_CACHE_BATCHES) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.stats = MemoStats()
-        self._batches: OrderedDict[tuple[str, str], dict[int, LocalCSRView]] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def views_of(self, data: CSRGO) -> dict[int, LocalCSRView]:
-        """The (mutable, lazily filled) view dict of one batch.
-
-        Keyed by (content hash, active array backend): views hold backend
-        arrays, so a backend switch mid-session must never recall another
-        backend's artifacts.
-        """
-        key = (data.content_hash(), xp.backend_name())
-        with self._lock:
-            views = self._batches.get(key)
-            if views is None:
-                views = {}
-                self._batches[key] = views
-            self._batches.move_to_end(key)
-            while len(self._batches) > self.capacity:
-                self._batches.popitem(last=False)
-                self.stats.evictions += 1
-            return views
-
-    def get(self, data: CSRGO, data_graph: int) -> LocalCSRView:
-        """The cached view of ``data_graph``, building it on first use."""
-        views = self.views_of(data)
-        view = views.get(data_graph)
-        if view is None:
-            self.stats.misses += 1
-            view = LocalCSRView(data, data_graph)
-            views[data_graph] = view
-        else:
-            self.stats.hits += 1
-        return view
-
-    def n_batches(self) -> int:
-        """Batches currently cached."""
-        return len(self._batches)
-
-    def clear(self) -> None:
-        """Drop every cached view and reset the stats."""
-        with self._lock:
-            self._batches.clear()
-            self.stats = MemoStats()
-
-
 class BatchCSRView:
     """Whole-batch sorted flat edge keys — the fused join's one edge index.
 
@@ -257,9 +190,9 @@ class BatchCSRView:
     global and neighbors are sorted within ascending rows, the flat keys
     ``u * n_nodes + v`` over the *entire* batch are globally sorted — one
     array answers any cross-graph probe batch.  Building it is one NumPy
-    pass over the batch adjacency; the cache below guarantees it happens
-    once per batch contents, not once per pair (the per-pair re-slice the
-    fused path exists to avoid).
+    pass over the batch adjacency; :func:`get_batch_view` caches it on the
+    batch, so it happens once per batch, not once per pair (the per-pair
+    re-slice the fused path exists to avoid).
 
     Attributes
     ----------
@@ -325,76 +258,22 @@ class BatchCSRView:
         return int(self.flat_keys.size)
 
 
-class BatchViewCache:
-    """Content-hash-keyed cache of :class:`BatchCSRView` objects.
-
-    Bounded LRU like :class:`LocalViewCache`; ``stats`` counts builds vs
-    recalls — the fused-path tests assert exactly one build (miss) per
-    distinct batch contents, however many fused tables run over it.
-    """
-
-    def __init__(self, capacity: int = VIEW_CACHE_BATCHES) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.stats = MemoStats()
-        self._views: OrderedDict[tuple[str, str], BatchCSRView] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, data: CSRGO) -> BatchCSRView:
-        """The cached batch view, building it on first use.
-
-        Keyed by (content hash, active array backend) — see
-        :meth:`LocalViewCache.views_of`.
-        """
-        key = (data.content_hash(), xp.backend_name())
-        with self._lock:
-            view = self._views.get(key)
-            if view is not None:
-                self._views.move_to_end(key)
-                self.stats.hits += 1
-                return view
-        built = BatchCSRView(data)
-        with self._lock:
-            view = self._views.get(key)
-            if view is None:
-                self.stats.misses += 1
-                self._views[key] = built
-                view = built
-            else:
-                self.stats.hits += 1
-            self._views.move_to_end(key)
-            while len(self._views) > self.capacity:
-                self._views.popitem(last=False)
-                self.stats.evictions += 1
-            return view
-
-    def clear(self) -> None:
-        """Drop every cached view and reset the stats."""
-        with self._lock:
-            self._views.clear()
-            self.stats = MemoStats()
-
-
-_VIEW_CACHE = LocalViewCache()
-_BATCH_VIEW_CACHE = BatchViewCache()
-
-
-def local_view_cache() -> LocalViewCache:
-    """The process-wide local-view cache."""
-    return _VIEW_CACHE
-
-
-def batch_view_cache() -> BatchViewCache:
-    """The process-wide batch-view cache (fused join edge index)."""
-    return _BATCH_VIEW_CACHE
-
-
 def get_local_view(data: CSRGO, data_graph: int) -> LocalCSRView:
-    """Cached sorted-CSR local view of one data graph."""
-    return _VIEW_CACHE.get(data, data_graph)
+    """Sorted-CSR local view of one data graph, cached on ``data``."""
+    key = ("local_views", xp.backend_name())
+    views = data.derived.get(key)
+    if views is None:
+        views = data.derived.setdefault(key, {})
+    view = views.get(data_graph)
+    if view is None:
+        view = views.setdefault(data_graph, LocalCSRView(data, data_graph))
+    return view
 
 
 def get_batch_view(data: CSRGO) -> BatchCSRView:
-    """Cached whole-batch sorted edge index of one data batch."""
-    return _BATCH_VIEW_CACHE.get(data)
+    """Whole-batch sorted edge index of one data batch, cached on ``data``."""
+    key = ("batch_view", xp.backend_name())
+    view = data.derived.get(key)
+    if view is None:
+        view = data.derived.setdefault(key, BatchCSRView(data))
+    return view

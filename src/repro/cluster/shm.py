@@ -51,8 +51,9 @@ class ShmHandle:
         :data:`CSRGO_FIELDS` order.
     content_hash:
         The batch's :meth:`~repro.core.csrgo.CSRGO.content_hash`, carried
-        along so attached batches hit the accelerator caches without
-        re-hashing the mapped arrays.
+        along so the worker's artifact fingerprints need no re-hash of the
+        mapped arrays.  The batch's :attr:`~repro.core.csrgo.CSRGO.derived`
+        cache does not travel: each attached batch builds its own.
     """
 
     name: str
@@ -133,7 +134,7 @@ def attach_csrgo(handle: ShmHandle) -> tuple[CSRGO, shared_memory.SharedMemory]:
         view.flags.writeable = False
         views.append(view)
     csrgo = CSRGO(*views)
-    # Seed the cached identity so accel caches hit without re-hashing.
+    # Seed the cached identity so fingerprints need no re-hash.
     csrgo._content_hash = handle.content_hash
     return csrgo, shm
 

@@ -42,9 +42,16 @@ class CandidateBitmap:
         Number of bit columns (total data nodes across the data batch).
     word_bits:
         Bitmap word width; the paper tunes 32 vs 64 per device (Table 1).
+
+    Attributes
+    ----------
+    plans:
+        Query plans compiled from this bitmap's candidate counts, filled
+        by :func:`~repro.core.join.compile_plans`: a recalled refine
+        artifact brings its plans with it.
     """
 
-    __slots__ = ("n_query_nodes", "n_data_nodes", "word_bits", "words")
+    __slots__ = ("n_query_nodes", "n_data_nodes", "word_bits", "words", "plans")
 
     def __init__(
         self, n_query_nodes: int, n_data_nodes: int, word_bits: int = WORD_BITS
@@ -58,6 +65,7 @@ class CandidateBitmap:
         self.words = xp.zeros(
             (self.n_query_nodes, n_words), dtype=word_dtype(self.word_bits)
         )
+        self.plans: dict = {}
 
     # -- construction ------------------------------------------------------------
 

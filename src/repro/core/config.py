@@ -68,8 +68,9 @@ class SigmoConfig:
         Registered ``repro.xp`` array backend the pipeline executes on
         (``"numpy"`` default; ``"instrumented"`` wraps numpy in per-op
         counters; ``"cupy"``/``"torch"`` when their adapters registered).
-        Backend identity is threaded into every content-hash-keyed cache
-        so artifacts from different backends never collide.
+        Backend identity is threaded into every cache key (artifact
+        fingerprints, the caches on batches and bitmaps, the serving
+        pool) so artifacts from different backends never collide.
     join_backend:
         Join backend selection: ``"auto"`` picks per (data, query) pair
         by the fixed dispatch rule of :mod:`repro.accel.dispatch`;

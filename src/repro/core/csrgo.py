@@ -39,6 +39,16 @@ class CSRGO:
     adj_edge_labels:
         ``int32[2 * total_edges]`` — edge label per adjacency slot, parallel
         to ``column_indices``.
+    derived:
+        Structures derived from this batch, cached for its lifetime.
+        Signature counts (:mod:`repro.core.filtering`) and the local and
+        batch edge views (:mod:`repro.accel.local_view`) store themselves
+        here under keys that start with their kind and carry the array
+        backend.  The cache belongs to this instance: a rebuilt batch
+        with equal content starts empty, the cache is never pickled, and
+        it is freed with the batch.  Entries only grow and never change
+        what they answer, so concurrent readers may share them;
+        ``dict.setdefault`` makes two racing builders agree on one value.
 
     Notes
     -----
@@ -53,6 +63,7 @@ class CSRGO:
         "labels",
         "adj_edge_labels",
         "_content_hash",
+        "derived",
         "__weakref__",
     )
 
@@ -72,6 +83,7 @@ class CSRGO:
             adj_edge_labels = np.zeros(self.column_indices.size, dtype=np.int32)
         self.adj_edge_labels = np.ascontiguousarray(adj_edge_labels, dtype=np.int32)
         self._content_hash: str | None = None
+        self.derived: dict = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -233,10 +245,10 @@ class CSRGO:
 
         Computed once and cached on the instance (the arrays are treated
         as immutable after construction, which every pipeline stage
-        respects).  Accelerator-layer caches (:mod:`repro.accel.memo`)
-        key on this hash so logically identical batches — rebuilt across
-        chunks, resilient re-runs, or iteration sweeps — share cached
-        local views, signatures and query plans.
+        respects).  Fingerprints that must match across rebuilt but
+        content-equal batches key on it: the session artifact cache
+        (:func:`~repro.pipeline.artifacts.filter_fingerprint`), the
+        serving pool's entries and the shared-memory handles.
         """
         if self._content_hash is None:
             import hashlib
@@ -252,6 +264,19 @@ class CSRGO:
                 h.update(arr.tobytes())
             self._content_hash = h.hexdigest()
         return self._content_hash
+
+    def __getstate__(self) -> dict:
+        """Pickle the arrays and the content hash, never :attr:`derived`."""
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name not in ("derived", "__weakref__")
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.derived = {}
 
     def slice_graphs(self, start_graph: int, stop_graph: int) -> "CSRGO":
         """Copy of the contiguous graph range ``[start_graph, stop_graph)``.

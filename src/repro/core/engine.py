@@ -165,10 +165,10 @@ class SigmoEngine:
 
         The sweep behind Figs. 5-7: same batches, varying ``s``.  Routed
         through a :class:`~repro.pipeline.session.MatcherSession` sharing
-        this engine's artifact cache, so per-iteration shared state (the
-        converted batches, their content hashes, the global signature
-        memos) is reused across the sweep, and ``join_budget``/``mode``
-        pass straight through to each run.
+        this engine's artifact cache over the engine's own batch objects,
+        so what is cached on them (content hashes, signature counts per
+        radius, edge views) is computed once for the whole sweep, and
+        ``join_budget``/``mode`` pass straight through to each run.
         """
         session = self.session()
         results: dict[int, MatchResult] = {}

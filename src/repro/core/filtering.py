@@ -42,9 +42,10 @@ from repro.utils.timing import StageTimer
 if TYPE_CHECKING:
     import numpy as np
 
-#: Signature count matrices above this size are not memoized (the cache is
-#: for the many-small-runs pattern — chunks, sweeps, retries — not for
-#: pinning hundred-MB matrices of one giant batch in memory).
+#: Signature count matrices above this size are not cached on their batch
+#: (the cache is for the many-runs-per-batch pattern — a session's query
+#: batch, sweeps, resumes — not for pinning hundred-MB matrices of one giant
+#: batch in memory).
 SIGNATURE_MEMO_MAX_BYTES = 32 << 20
 
 
@@ -370,14 +371,14 @@ class IterativeFilter:
     def _signatures_at(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
         """Query and data signature counts at the given radius.
 
-        Each side is memoized by the active array backend, batch content
-        hash, label-vocabulary size, the ignored (wildcard) label and the
-        radius — so a second pipeline
-        run over identical batches (iteration sweeps, chunked re-runs,
-        resilient retries) recalls the counts instead of re-running the
-        neighborhood BFS.  Oversized matrices bypass the cache
-        (:data:`SIGNATURE_MEMO_MAX_BYTES`); memoized arrays are frozen
-        (non-writeable) — ``refine_candidates`` only reads them.
+        Each side is cached on its own batch (:attr:`CSRGO.derived`),
+        keyed by the active array backend, label-vocabulary size, the
+        ignored (wildcard) label and the radius — so every chunk a session
+        streams recalls the query side from the session's query batch, and
+        sweeps or resumes over one data batch recall the data side.
+        Oversized matrices are not cached (:data:`SIGNATURE_MEMO_MAX_BYTES`);
+        cached arrays are frozen (non-writeable) — ``refine_candidates``
+        only reads them.
         """
         q = self._side_signatures_at("query", radius)
         d = self._side_signatures_at("data", radius)
@@ -385,19 +386,12 @@ class IterativeFilter:
         return q, d
 
     def _side_signatures_at(self, side: str, radius: int) -> np.ndarray:
-        """One side's counts at ``radius``, through the signature memo."""
+        """One side's counts at ``radius``, cached on its batch."""
         batch = self.query if side == "query" else self.data
         ignore = self.config.wildcard_label if side == "query" else None
-        key = (
-            "sig",
-            xp.backend_name(),
-            batch.content_hash(),
-            self.n_labels,
-            ignore,
-            radius,
-        )
-        memo = signature_memo()
-        cached = memo.get(key)
+        key = ("signatures", xp.backend_name(), self.n_labels, ignore, radius)
+        cached = batch.derived.get(key)
+        signature_memo().record(hit=cached is not None)
         if cached is not None:
             return cached
 
@@ -408,6 +402,5 @@ class IterativeFilter:
             setattr(self, state_attr, state)
         counts = state.run_to(radius)
         if counts.nbytes <= SIGNATURE_MEMO_MAX_BYTES:
-            counts = frozen_array(counts)
-            memo.put(key, counts)
+            counts = batch.derived.setdefault(key, frozen_array(counts))
         return counts

@@ -31,7 +31,7 @@ from repro.accel.dispatch import (
 )
 from repro.accel.fused import FusedOutcome, build_fused_plan, fused_join, slot_rows
 from repro.accel.local_view import LocalCSRView, get_batch_view, get_local_view
-from repro.accel.memo import array_hash, plan_memo
+from repro.accel.memo import plan_memo
 from repro.accel.tabular import tabular_join_pair
 from repro.analysis.markers import kernel
 from repro.core.candidates import CandidateBitmap
@@ -337,37 +337,39 @@ def compile_plans(
 ) -> list[QueryPlan]:
     """Compile (or recall) the query plans of a whole batch.
 
-    Plan lists are memoized by the active array backend, query-batch
-    content hash, the candidate counts the ``fewest-candidates`` heuristic
-    consumed, and every config field that changes compilation (heuristic,
-    wildcard edge label, induced mode) — so chunked runs, iteration sweeps
-    and resilient retries over the same queries skip recompilation, while
-    flipping any influencing knob (or switching backends) rebuilds.
+    Plan lists are cached on the bitmap whose candidate counts ordered
+    them (:attr:`~repro.core.candidates.CandidateBitmap.plans`), keyed by
+    the active array backend, the query batch and every config field that
+    changes compilation (heuristic, wildcard edge label, induced mode).
+    The counts are stored beside the plans and compared on lookup, so a
+    bitmap refined after compiling never serves plans of its old counts.
     """
     counts = bitmap.row_counts()
     key = (
-        "plans",
         xp.backend_name(),
         query.content_hash(),
-        array_hash(xp.ascontiguousarray(counts)),
         config.candidate_order,
         config.wildcard_edge_label,
         config.induced,
     )
-    return plan_memo().get_or_build(
-        key,
-        lambda: [
-            build_query_plan(
-                query,
-                qg,
-                counts,
-                config.candidate_order,
-                config.wildcard_edge_label,
-                config.induced,
-            )
-            for qg in range(query.n_graphs)
-        ],
-    )
+    entry = bitmap.plans.get(key)
+    hit = entry is not None and bool(xp.all(entry[0] == counts))
+    plan_memo().record(hit)
+    if hit:
+        return entry[1]
+    plans = [
+        build_query_plan(
+            query,
+            qg,
+            counts,
+            config.candidate_order,
+            config.wildcard_edge_label,
+            config.induced,
+        )
+        for qg in range(query.n_graphs)
+    ]
+    bitmap.plans[key] = (counts, plans)
+    return plans
 
 
 @kernel(writes=("stats", "record"))

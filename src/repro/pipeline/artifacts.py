@@ -7,9 +7,12 @@ hand a resumed (or repeated) run its ``FilterResult``/``GMCR`` back
 instead of re-running stages 2-5.
 
 The cache is deliberately small and local — one per :class:`~repro.core.
-engine.SigmoEngine` / :class:`~repro.pipeline.session.MatcherSession` —
-unlike the global content memos of :mod:`repro.accel.memo` which
-deduplicate work *across* engines.  Cached values are treated as
+engine.SigmoEngine` / :class:`~repro.pipeline.session.MatcherSession`;
+no process-wide cache shares work across engines.  What derives from a
+cached artifact travels with it: the compiled query plans live on the
+recalled bitmap (:attr:`~repro.core.candidates.CandidateBitmap.plans`),
+and signature counts and edge views live on the batches themselves
+(:attr:`~repro.core.csrgo.CSRGO.derived`).  Cached values are treated as
 immutable; :func:`~repro.pipeline.stages.run_pipeline` hands out
 defensive copies of the mutable parts (the GMCR ``matched`` flags).
 """

@@ -8,9 +8,9 @@ path every driver takes: ``SigmoEngine.run`` is a session match over the
 engine's own data batch, and the chunked, resilient, pool and serving
 drivers each hold sessions.  Three reuse layers compose:
 
-* the query CSR-GO (and its content hash) live for the session, so the
-  global signature/plan memos of :mod:`repro.accel.memo` hit on every
-  batch;
+* the query CSR-GO lives for the session, and with it everything cached
+  on it (its content hash and its signature counts at each radius), so
+  every batch recalls the query side instead of recomputing it;
 * repeated ``match`` calls on the *same* data batch recall the cached
   ``FilterResult``/``GMCR`` artifacts and skip stages 2-5 outright (the
   warm path — verified in tests by the absence of filter/mapping spans);
@@ -86,8 +86,8 @@ class MatcherSession:
     ) -> None:
         self.config = config or SigmoConfig()
         self._query = self._to_csrgo(queries, "query")
-        # Warm the content hash now: every artifact fingerprint and memo
-        # key derives from it, and it is cached on the CSRGO instance.
+        # Warm the content hash now: every artifact fingerprint derives
+        # from it, and it is cached on the CSRGO instance.
         self._query.content_hash()
         if self.config.refinement_iterations > 1:
             # Refinement past the label-only first iteration runs the

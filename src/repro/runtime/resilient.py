@@ -35,7 +35,7 @@ from pathlib import Path
 
 from repro.core.chunked import BudgetInfeasible, chunk_size_for_budget
 from repro.core.config import SigmoConfig
-from repro.core.engine import SigmoEngine
+from repro.core.csrgo import CSRGO
 from repro.core.join import FIND_ALL, JoinBudget
 from repro.core.results import MatchRecord
 from repro.device.memory import DeviceMemoryPool, DeviceOutOfMemory, sigmo_footprint_bytes
@@ -49,6 +49,7 @@ from repro.pipeline.aggregate import (
     ResultAccumulator,
     join_stats_dict,
 )
+from repro.pipeline.session import MatcherSession
 from repro.runtime import telemetry
 from repro.runtime.checkpoint import (
     STATUS_OK,
@@ -311,10 +312,13 @@ def run_resilient(
 
     queue = deque(tasks)
     token = None
+    # One session compiles the query batch for every chunk and retry.
+    session = MatcherSession(queries, config=config) if queue else None
     while queue and token is None:
         task = queue.popleft()
         token = _run_task(
             task,
+            session,
             queries,
             data,
             mode,
@@ -442,6 +446,7 @@ def _plan_tasks(
 
 def _run_task(
     task: _Task,
+    session: MatcherSession,
     queries: list[LabeledGraph],
     data: list[LabeledGraph],
     mode: str,
@@ -505,11 +510,11 @@ def _run_task(
             if pool is not None:
                 with pool.lease(footprint, tag=unit):
                     payload, n_segments = _run_segments(
-                        task, queries, chunk, mode, config, join_budget, on_truncate
+                        task, session, chunk, mode, join_budget, on_truncate
                     )
             else:
                 payload, n_segments = _run_segments(
-                    task, queries, chunk, mode, config, join_budget, on_truncate
+                    task, session, chunk, mode, join_budget, on_truncate
                 )
     except DeviceOutOfMemory as exc:
         chunk_sp.set(outcome=telemetry.OOM)
@@ -629,10 +634,9 @@ def _run_task(
 
 def _run_segments(
     task: _Task,
-    queries: list[LabeledGraph],
+    session: MatcherSession,
     chunk: list[LabeledGraph],
     mode: str,
-    config: SigmoConfig,
     join_budget: JoinBudget | None,
     on_truncate: str,
 ) -> tuple[ChunkPayload, int]:
@@ -640,16 +644,23 @@ def _run_segments(
 
     Returns the accumulated payload for the pairs processed in *this*
     call (the caller merges any prior checkpointed progress) plus the
-    number of budgeted segments it took.
+    number of budgeted segments it took.  The range is converted once,
+    so its segments share the batch's cached views and signatures, and
+    a resumed segment recalls the refine/map artifacts (and the plans on
+    the bitmap) from the session.
     """
     payload = ChunkPayload(start=task.start, stop=task.stop)
-    engine = SigmoEngine(queries, chunk, config)
+    batch = CSRGO.from_graphs(chunk)
     next_pair = task.next_pair
     n_segments = 0
     while True:
         n_segments += 1
-        run = engine.run(
-            mode=mode, join_budget=join_budget, join_start_pair=next_pair
+        run = session.match(
+            batch,
+            mode=mode,
+            join_budget=join_budget,
+            join_start_pair=next_pair,
+            reuse=next_pair > 0,
         )
         payload.total_matches += run.total_matches
         payload.matched_pairs.extend(

@@ -11,8 +11,8 @@ session never serializes a tenant's whole traffic:
   and which has no batch in flight;
 * a lane whose breaker trips gets its session *rebuilt* (a fresh
   ``MatcherSession`` over the entry's query CSR-GO — cheap, because the
-  global signature/plan memos of :mod:`repro.accel.memo` survive) while
-  the breaker's cooldown routes traffic around it;
+  lane reuses that batch object and the query signatures cached on it)
+  while the breaker's cooldown routes traffic around it;
 * per-lane straggler estimates (EWMA of observed-vs-predicted service
   time) feed back into deadline budgeting, so a slow lane gets smaller
   join budgets for the same wall-clock deadline.

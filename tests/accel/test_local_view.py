@@ -1,18 +1,16 @@
-"""Sorted-CSR local views: correctness and the per-batch cache."""
+"""Sorted-CSR local views: correctness and the cache on each batch."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.accel.local_view import (
-    VIEW_CACHE_BATCHES,
     BatchCSRView,
-    BatchViewCache,
     LocalCSRView,
-    LocalViewCache,
-    batch_view_cache,
     get_batch_view,
     get_local_view,
-    local_view_cache,
 )
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
@@ -65,83 +63,80 @@ class TestViewCorrectness:
 
 
 class TestViewCache:
-    def test_second_access_hits(self, bench):
+    def test_second_access_hits(self, bench, local_view_builds):
         data = CSRGO.from_graphs(bench.data)
-        cache = local_view_cache()
         v1 = get_local_view(data, 3)
-        assert cache.stats.misses == 1
+        assert len(local_view_builds) == 1
         v2 = get_local_view(data, 3)
         assert v2 is v1
-        assert cache.stats.hits == 1
+        assert len(local_view_builds) == 1
 
-    def test_content_identity_not_object_identity(self, bench):
-        # A rebuilt-but-identical batch (chunked/resilient re-runs) hits.
+    def test_rebuilt_batch_builds_own_views(self, bench, local_view_builds):
+        # Views belong to the CSRGO instance: a content-equal rebuild
+        # builds its own, with identical contents.
         data1 = CSRGO.from_graphs(bench.data)
         data2 = CSRGO.from_graphs(bench.data)
-        assert data1 is not data2
         v1 = get_local_view(data1, 0)
         v2 = get_local_view(data2, 0)
-        assert v2 is v1
-        assert local_view_cache().n_batches() == 1
+        assert v2 is not v1
+        assert len(local_view_builds) == 2
+        assert np.array_equal(v1.flat_keys, v2.flat_keys)
+        assert np.array_equal(v1.edge_labels, v2.edge_labels)
 
-    def test_different_batch_misses(self, bench):
+    def test_different_batch_misses(self, bench, local_view_builds):
         data1 = CSRGO.from_graphs(bench.data[:10])
         data2 = CSRGO.from_graphs(bench.data[10:20])
         get_local_view(data1, 0)
         get_local_view(data2, 0)
-        cache = local_view_cache()
-        assert cache.stats.misses == 2
-        assert cache.n_batches() == 2
+        assert [args[0] for args in local_view_builds] == [data1, data2]
 
-    def test_lru_eviction(self, bench):
-        cache = LocalViewCache(capacity=2)
-        batches = [CSRGO.from_graphs(bench.data[i : i + 3]) for i in range(4)]
-        for b in batches:
-            cache.get(b, 0)
-        assert cache.n_batches() == 2
-        assert cache.stats.evictions == 2
-        # Oldest entries gone: re-fetching the first batch misses again.
-        before = cache.stats.misses
-        cache.get(batches[0], 0)
-        assert cache.stats.misses == before + 1
-
-    def test_default_capacity(self):
-        assert local_view_cache().capacity == VIEW_CACHE_BATCHES
+    def test_views_are_freed_with_their_batch(self, bench):
+        config = SigmoConfig(join_backend="tabular")
+        data = CSRGO.from_graphs(bench.data)
+        SigmoEngine.from_csrgo(CSRGO.from_graphs(bench.queries), data, config).run()
+        local_keys = weakref.ref(get_local_view(data, 0).flat_keys)
+        batch_keys = weakref.ref(get_batch_view(data).flat_keys)
+        batch = weakref.ref(data)
+        del data
+        gc.collect()
+        assert batch() is None
+        assert local_keys() is None
+        assert batch_keys() is None
 
 
 class TestRunJoinHoisting:
-    """The satellite: view construction is hoisted out of ``run_join``.
+    """View construction is hoisted out of ``run_join``.
 
-    Pinned to the per-pair tabular backend — under ``auto`` the cost
-    model routes pairs to the fused table, which probes the *batch*-level
+    Pinned to the per-pair tabular backend — under ``auto`` the dispatch
+    rule routes pairs to the fused table, which probes the *batch*-level
     view instead of per-graph local views (covered below).
     """
 
-    def test_second_run_builds_no_views(self, bench):
+    def test_second_run_builds_no_views(self, bench, local_view_builds):
         config = SigmoConfig(join_backend="tabular")
         engine = SigmoEngine(bench.queries, bench.data, config)
-        cache = local_view_cache()
         engine.run()
-        misses_after_first = cache.stats.misses
-        assert misses_after_first > 0
+        builds_after_first = len(local_view_builds)
+        assert builds_after_first > 0
         engine.run()
-        assert cache.stats.misses == misses_after_first
-        assert cache.stats.hits >= misses_after_first
+        assert len(local_view_builds) == builds_after_first
 
-    def test_sweep_shares_views(self, bench):
+    def test_sweep_shares_views(self, bench, local_view_builds):
         config = SigmoConfig(join_backend="tabular")
         engine = SigmoEngine(bench.queries, bench.data, config)
-        cache = local_view_cache()
         engine.run_iteration_sweep([2, 4, 6])
-        # All three sweep points share one batch's views.
-        assert cache.n_batches() == 1
+        # All three sweep points share one batch's views: each graph's
+        # view is built once, on the engine's batch.
+        assert {id(args[0]) for args in local_view_builds} == {id(engine.data)}
+        graphs = [args[1] for args in local_view_builds]
+        assert len(graphs) == len(set(graphs))
 
-    def test_batch_change_invalidates(self, bench):
+    def test_batch_change_invalidates(self, bench, local_view_builds):
         config = SigmoConfig(join_backend="tabular")
         SigmoEngine(bench.queries, bench.data[:20], config).run()
-        first_misses = local_view_cache().stats.misses
+        first_builds = len(local_view_builds)
         SigmoEngine(bench.queries, bench.data[20:40], config).run()
-        assert local_view_cache().stats.misses > first_misses
+        assert len(local_view_builds) > first_builds
 
 
 class TestBatchViewCorrectness:
@@ -176,39 +171,31 @@ class TestBatchViewCorrectness:
 
 
 class TestBatchViewHoisting:
-    """Satellite: one batch-view build per (batch contents), ever."""
+    """One batch-view build per batch, however many runs probe it."""
 
-    def test_fused_runs_build_one_view_per_batch(self, bench):
+    def test_fused_runs_build_one_view_per_batch(self, bench, batch_view_builds):
         engine = SigmoEngine(bench.queries, bench.data)
-        cache = batch_view_cache()
         engine.run()  # auto -> fused tables probe the batch view
-        assert cache.stats.misses == 1
+        assert len(batch_view_builds) == 1
         engine.run()
         engine.run(mode="find-first")
-        assert cache.stats.misses == 1
-        assert cache.stats.hits >= 2
+        assert len(batch_view_builds) == 1
 
-    def test_content_identity_not_object_identity(self, bench):
+    def test_rebuilt_batch_builds_own_view(self, bench, batch_view_builds):
+        config = SigmoConfig(record_embeddings=True)
+        query = CSRGO.from_graphs(bench.queries)
         data1 = CSRGO.from_graphs(bench.data)
         data2 = CSRGO.from_graphs(bench.data)
-        assert data1 is not data2
-        v1 = get_batch_view(data1)
-        v2 = get_batch_view(data2)
-        assert v2 is v1
-        assert batch_view_cache().stats.misses == 1
+        r1 = SigmoEngine.from_csrgo(query, data1, config).run()
+        r2 = SigmoEngine.from_csrgo(query, data2, config).run()
+        assert [args[0] for args in batch_view_builds] == [data1, data2]
+        assert get_batch_view(data1) is not get_batch_view(data2)
+        assert r1.total_matches == r2.total_matches
+        assert r1.embeddings == r2.embeddings
+        assert r1.join_result.stats == r2.join_result.stats
 
-    def test_batch_change_builds_again(self, bench):
+    def test_batch_change_builds_again(self, bench, batch_view_builds):
         SigmoEngine(bench.queries, bench.data[:20]).run()
-        assert batch_view_cache().stats.misses == 1
+        assert len(batch_view_builds) == 1
         SigmoEngine(bench.queries, bench.data[20:40]).run()
-        assert batch_view_cache().stats.misses == 2
-
-    def test_lru_eviction(self, bench):
-        cache = BatchViewCache(capacity=2)
-        batches = [CSRGO.from_graphs(bench.data[i : i + 3]) for i in range(4)]
-        for b in batches:
-            cache.get(b)
-        assert cache.stats.evictions == 2
-        before = cache.stats.misses
-        cache.get(batches[0])
-        assert cache.stats.misses == before + 1
+        assert len(batch_view_builds) == 2

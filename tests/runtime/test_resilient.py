@@ -158,6 +158,40 @@ class TestOOMDegradation:
         )
 
 
+class TestQueryCompilation:
+    def test_query_batch_compiled_once_per_run(
+        self, rich_workload, rich_serial, monkeypatch
+    ):
+        # One session holds the query batch across chunks, OOM retries and
+        # budgeted segments, so its signature BFS runs once per run.
+        from repro.core import filtering
+        from repro.core.csrgo import CSRGO
+
+        queries, data = rich_workload
+        query_hash = CSRGO.from_graphs(queries).content_hash()
+        built = []
+        original = filtering.SignatureState
+
+        def counting(graph, *args, **kwargs):
+            built.append(graph.content_hash())
+            return original(graph, *args, **kwargs)
+
+        monkeypatch.setattr(filtering, "SignatureState", counting)
+        result = run_resilient(
+            queries,
+            data,
+            chunk_size=8,
+            fault_plan=FaultPlan(seed=3, oom_rate=0.7, fault_attempts=2),
+            max_attempts=6,
+            join_budget=JoinBudget(max_matches=20),
+        )
+        assert result.status == COMPLETE
+        assert result.report.n_retries > 0
+        assert any(rec.segments > 1 for rec in result.chunk_records)
+        assert_equals_serial(result, rich_serial)
+        assert built.count(query_hash) == 1
+
+
 class TestJoinWatchdog:
     def test_token_chain_recombines_to_serial(self, rich_workload, rich_serial):
         queries, data = rich_workload

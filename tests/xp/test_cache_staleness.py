@@ -1,15 +1,15 @@
 """Backend identity in cache keys: no stale-backend artifacts, ever.
 
-Every cache keyed by ``CSRGO.content_hash()`` — the local/batch CSR view
-LRUs, the global signature/plan memos, the pipeline artifact cache, and
-the serving pool — also keys on the active backend, so switching
-backends mid-session can never serve arrays (or compiled plans) built by
-a different backend.
+Every artifact cache — the local/batch CSR views and signature counts
+cached on a ``CSRGO``, the plans cached on a candidate bitmap, the
+pipeline artifact cache, and the serving pool — keys on the active
+backend, so switching backends mid-session can never serve arrays (or
+compiled plans) built by a different backend.
 """
 
 import pytest
 
-from repro.accel.local_view import BatchViewCache, LocalViewCache
+from repro.accel.local_view import get_batch_view, get_local_view
 from repro.chem.datasets import build_benchmark
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
@@ -33,23 +33,21 @@ def data():
 
 class TestViewCaches:
     def test_batch_view_cache_is_backend_keyed(self, data):
-        cache = BatchViewCache(capacity=4)
-        numpy_view = cache.get(data)
+        numpy_view = get_batch_view(data)
         with use_backend("instrumented"):
-            other_view = cache.get(data)
+            other_view = get_batch_view(data)
         assert other_view is not numpy_view
         # Returning to numpy serves the original entry, not the other one.
-        assert cache.get(data) is numpy_view
+        assert get_batch_view(data) is numpy_view
         with use_backend("instrumented"):
-            assert cache.get(data) is other_view
+            assert get_batch_view(data) is other_view
 
     def test_local_view_cache_is_backend_keyed(self, data):
-        cache = LocalViewCache(capacity=4)
-        numpy_views = cache.views_of(data)
+        numpy_views = get_local_view(data, 0)
         with use_backend("instrumented"):
-            other_views = cache.views_of(data)
+            other_views = get_local_view(data, 0)
         assert other_views is not numpy_views
-        assert cache.views_of(data) is numpy_views
+        assert get_local_view(data, 0) is numpy_views
 
 
 class TestFingerprints:
