@@ -41,14 +41,17 @@ class CSRGO:
         to ``column_indices``.
     derived:
         Structures derived from this batch, cached for its lifetime.
-        Signature counts (:mod:`repro.core.filtering`) and the local and
-        batch edge views (:mod:`repro.accel.local_view`) store themselves
-        here under keys that start with their kind and carry the array
-        backend.  The cache belongs to this instance: a rebuilt batch
-        with equal content starts empty, the cache is never pickled, and
-        it is freed with the batch.  Entries only grow and never change
-        what they answer, so concurrent readers may share them;
-        ``dict.setdefault`` makes two racing builders agree on one value.
+        Signature counts (:mod:`repro.core.filtering`), the local and
+        batch edge views (:mod:`repro.accel.local_view`) and a data
+        batch's refine/map artifacts (:mod:`repro.pipeline.artifacts`)
+        store themselves here under keys that start with their kind and
+        carry the array backend.  The cache belongs to this instance: a
+        rebuilt batch with equal content starts empty, the cache is never
+        pickled, and it is freed with the batch.  Signature and view
+        entries only grow and never change what they answer, so
+        concurrent readers may share them; ``dict.setdefault`` makes two
+        racing builders agree on one value.  An artifact slot is replaced
+        whole, by one dict store, whenever a run stores new artifacts.
 
     Notes
     -----
@@ -245,10 +248,11 @@ class CSRGO:
 
         Computed once and cached on the instance (the arrays are treated
         as immutable after construction, which every pipeline stage
-        respects).  Fingerprints that must match across rebuilt but
-        content-equal batches key on it: the session artifact cache
-        (:func:`~repro.pipeline.artifacts.filter_fingerprint`), the
-        serving pool's entries and the shared-memory handles.
+        respects).  Keys that must match across rebuilt but content-equal
+        query batches use it: the artifact slot a data batch keeps per
+        query batch (:mod:`repro.pipeline.artifacts`), the compiled plans
+        on a candidate bitmap and the serving pool's entries; the
+        shared-memory handles carry it too.
         """
         if self._content_hash is None:
             import hashlib

@@ -10,11 +10,10 @@ a :meth:`~repro.pipeline.session.MatcherSession.match` of the engine's
 data batch, and the session hands both batches to
 :func:`~repro.pipeline.stages.run_pipeline`, which owns the obs spans,
 the timers, the contract checks and the label-space size.  The engine
-contributes what only it has: batches converted once at construction, a
-per-engine artifact cache (so truncated runs resumed via
-``join_start_pair`` recall their ``FilterResult``/``GMCR`` instead of
-recomputing), and :meth:`session` to share that cache with further
-sessions.
+contributes what only it has: batches converted once at construction.
+Every run stores its ``FilterResult``/``GMCR`` on the engine's data
+batch, so truncated runs resumed via ``join_start_pair``, and further
+sessions from :meth:`session`, recall them instead of recomputing.
 
 Use :func:`find_all` / :func:`find_first` for one-shot convenience, or
 construct an engine to reuse the converted batches across runs (e.g. the
@@ -32,7 +31,6 @@ from repro.core.join import FIND_ALL, FIND_FIRST, JoinBudget
 from repro.core.results import MatchResult
 from repro.graph.batch import GraphBatch
 from repro.graph.labeled_graph import LabeledGraph
-from repro.pipeline.artifacts import ArtifactCache
 from repro.pipeline.session import MatcherSession
 
 
@@ -104,10 +102,7 @@ class SigmoEngine:
         """Shared tail of both constructors: the session over ``query``."""
         self.query = query
         self.data = data
-        # Per-engine stage-artifact cache: every run stores its
-        # FilterResult/GMCR here, and resumed truncated runs recall them.
-        self._artifacts = ArtifactCache()
-        self._session = MatcherSession(query, config=self.config, cache=self._artifacts)
+        self._session = MatcherSession(query, config=self.config)
 
     # -- public API -------------------------------------------------------------
 
@@ -137,11 +132,11 @@ class SigmoEngine:
             same GMCR and pair indices stay valid across calls.
         join_start_pair:
             Resume token from a previous truncated run of the same batches.
-            Resumed runs (``join_start_pair > 0``) recall the cached
-            ``FilterResult``/``GMCR`` from the previous run of the same
-            batches+config instead of recomputing them; the artifacts are
-            deterministic, so pair indices stay valid and results are
-            identical to a full recompute.
+            Resumed runs (``join_start_pair > 0``) recall the
+            ``FilterResult``/``GMCR`` the previous run of the same config
+            stored on the data batch instead of recomputing them; the
+            artifacts are deterministic, so pair indices stay valid and
+            results are identical to a full recompute.
         """
         return self._session.match(
             self.data,
@@ -164,16 +159,15 @@ class SigmoEngine:
         """Run the pipeline once per refinement-iteration count.
 
         The sweep behind Figs. 5-7: same batches, varying ``s``.  Routed
-        through a :class:`~repro.pipeline.session.MatcherSession` sharing
-        this engine's artifact cache over the engine's own batch objects,
-        so what is cached on them (content hashes, signature counts per
-        radius, edge views) is computed once for the whole sweep, and
-        ``join_budget``/``mode`` pass straight through to each run.
+        through the engine's :class:`~repro.pipeline.session.MatcherSession`
+        over the engine's own batch objects, so what is cached on them
+        (content hashes, signature counts per radius, edge views) is
+        computed once for the whole sweep, and ``join_budget``/``mode``
+        pass straight through to each run.
         """
-        session = self.session()
         results: dict[int, MatchResult] = {}
         for s in iterations:
-            results[s] = session.match(
+            results[s] = self._session.match(
                 self.data,
                 mode=mode,
                 config=self.config.with_iterations(s),
@@ -184,13 +178,11 @@ class SigmoEngine:
     def session(self, config: SigmoConfig | None = None):
         """A :class:`~repro.pipeline.session.MatcherSession` over this query batch.
 
-        The session shares this engine's artifact cache, so engine runs
-        and session matches over the same data batches recall each
-        other's filter/GMCR artifacts.
+        The artifacts live on the data batch, so engine runs and session
+        matches over :attr:`data` recall each other's filter/GMCR
+        artifacts.
         """
-        return MatcherSession(
-            self.query, config=config or self.config, cache=self._artifacts
-        )
+        return MatcherSession(self.query, config=config or self.config)
 
 
 def find_all(

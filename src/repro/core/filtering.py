@@ -64,7 +64,8 @@ class IterationStats:
     candidates_per_node:
         Candidate-set size per query node (Fig. 5 box plots).
     filter_seconds:
-        Wall-clock host time of this iteration's signature + refine step.
+        Wall-clock host time of this iteration's signature + refine step,
+        as the run's ``StageTimer`` measured it under ``filter``.
     """
 
     iteration: int
@@ -272,10 +273,8 @@ class IterativeFilter:
         states are created lazily at iteration 2 (iteration 1 is label-only
         and needs no BFS), and their frontiers are cached across iterations.
 
-        The phase split (:meth:`initialize` / :meth:`refine`) exists for
-        :func:`~repro.pipeline.stages.run_pipeline`, which owns the
-        ``stage:filter`` span and runs the two halves in it; calling ``run``
-        directly produces the identical span/timer/result shape.
+        ``run`` owns the ``stage:filter`` span and runs the two phases
+        (:meth:`initialize` / :meth:`refine`) in it.
         """
         timer = timer or StageTimer()
         with get_tracer().span(
@@ -293,7 +292,7 @@ class IterativeFilter:
 
         Returns a :class:`FilterResult` shell holding the initialized
         bitmap; :meth:`refine` completes it in place.  Opens no stage
-        span — the caller (``run`` or ``run_pipeline``) owns that.
+        span — :meth:`run` owns that.
         """
         timer = timer or StageTimer()
         tracer = get_tracer()
@@ -329,22 +328,21 @@ class IterativeFilter:
 
         Mutates ``result`` in place (bitmap bits cleared monotonically,
         per-iteration stats appended, final signature matrices attached)
-        and returns it.
+        and returns it.  Each iteration's ``filter_seconds`` is its share
+        of the timer's ``filter`` total.
         """
-        import time
-
         timer = timer or StageTimer()
         bitmap = result.bitmap
         checking = contracts.enabled()
         for iteration in range(1, self.config.refinement_iterations + 1):
-            start = time.perf_counter()
+            start = timer.totals.get("filter", 0.0)
             radius = iteration - 1
             prev_words = bitmap.words.copy() if checking else None
             with timer.stage("filter"):
                 if radius > 0:
                     q_counts, d_counts = self._signatures_at(radius)
                     refine_candidates(bitmap, q_counts, d_counts, self.packing)
-            elapsed = time.perf_counter() - start
+            elapsed = timer.totals["filter"] - start
             per_node = bitmap.row_counts()
             if checking:
                 contracts.check_bitmap(

@@ -503,7 +503,6 @@ def run_join(
     config: SigmoConfig | None = None,
     mode: str = FIND_ALL,
     timer: StageTimer | None = None,
-    plans: list[QueryPlan] | None = None,
     budget: JoinBudget | None = None,
     start_pair: int = 0,
 ) -> JoinResult:
@@ -566,8 +565,7 @@ def run_join(
     ) as stage_sp, tracer.span(
         "kernel:join", category="kernel", work_items=gmcr.n_pairs
     ):
-        if plans is None:
-            plans = compile_plans(query, bitmap, config)
+        plans = compile_plans(query, bitmap, config)
         # Unpack each query node's candidate row once (sorted global ids)
         # and cut it at every data-graph boundary in one vectorized
         # searchsorted; per-pair restriction is then two cached offset

@@ -5,16 +5,15 @@ as straight-line code over two CSR-GO batches (stage 1, the conversion,
 happens once per batch in the session or engine).  It is the single place where the obs span
 hierarchy (``run`` → ``stage:*`` → ``kernel:*`` → ``wg:*``), the
 :class:`~repro.utils.timing.StageTimer` totals and counts, the
-``REPRO_CHECK=1`` contract checks and the artifact cache attach.  Every
+``REPRO_CHECK=1`` contract checks and the artifact recall attach.  Every
 driver reaches it through :meth:`~repro.pipeline.session.MatcherSession.
 match`; what varies between drivers (chunking, retries, process
 placement) lives around the session, never in here.
 
-The ``refine`` and ``map`` artifacts are stored in the caller's
-:class:`~repro.pipeline.artifacts.ArtifactCache` on every run and, when
-``reuse`` is set, recalled instead of recomputed: the recalled stages'
-spans and timer entries are then simply absent, which is how tests verify
-the skip.
+The ``refine`` and ``map`` artifacts are stored on the data batch on
+every run (:mod:`repro.pipeline.artifacts`) and, when ``reuse`` is set,
+recalled instead of recomputed: the recalled stages' spans and timer
+entries are then simply absent, which is how tests verify the skip.
 """
 
 from __future__ import annotations
@@ -28,10 +27,10 @@ from repro.core.mapping import GMCR, build_gmcr
 from repro.core.results import MatchResult, MemoryReport
 from repro.obs.trace import get_tracer
 from repro.pipeline.artifacts import (
-    STAGE_MAP,
-    STAGE_REFINE,
-    ArtifactCache,
+    ArtifactStats,
     filter_fingerprint,
+    recall_artifacts,
+    store_artifacts,
 )
 from repro.utils.timing import StageTimer
 from repro.xp import use_backend
@@ -44,21 +43,22 @@ def run_pipeline(
     mode: str,
     join_budget: JoinBudget | None,
     join_start_pair: int,
-    cache: ArtifactCache,
     reuse: bool,
+    stats: ArtifactStats,
 ) -> MatchResult:
     """Run both CSR-GO batches through the pipeline; return the match result.
 
-    The whole run executes under ``config.array_backend``.  ``reuse`` lets the run recall the ``refine``/``map``
-    artifacts from ``cache``; storing happens regardless, so a plain run
-    leaves them behind for a later resume.
+    The whole run executes under ``config.array_backend``.  ``reuse`` lets
+    the run recall the ``refine``/``map`` artifacts from ``data``, counting
+    the recall in ``stats``; storing happens regardless, so a plain run
+    leaves them on the batch for a later resume.
     """
     with use_backend(config.array_backend):
         if contracts.enabled():
             contracts.check_csrgo(query, "query batch")
             contracts.check_csrgo(data, "data batch")
         n_labels = derive_n_labels(query, data, config.wildcard_label)
-        fingerprint = filter_fingerprint(query, data, n_labels, config)
+        key = filter_fingerprint(n_labels, config)
         timer = StageTimer()
         tracer = get_tracer()
         with tracer.span(
@@ -68,21 +68,18 @@ def run_pipeline(
             n_queries=query.n_graphs,
             n_data_graphs=data.n_graphs,
         ) as root:
-            filter_result = cache.get(STAGE_REFINE, fingerprint) if reuse else None
-            if filter_result is None:
-                with tracer.span(
-                    "stage:filter",
-                    category="stage",
-                    iterations=config.refinement_iterations,
-                ) as stage_sp:
-                    filt = IterativeFilter(query, data, config, n_labels)
-                    filter_result = filt.refine(filt.initialize(timer), timer)
-                    stage_sp.set(candidates=filter_result.total_candidates)
-                cache.put(STAGE_REFINE, fingerprint, filter_result)
+            recalled = recall_artifacts(query, data, config, key) if reuse else None
+            if recalled is None:
+                if reuse:
+                    stats.misses += 2
+                filter_result = IterativeFilter(query, data, config, n_labels).run(timer)
+                gmcr = None
+            else:
+                stats.hits += 2
+                filter_result, gmcr = recalled
             if contracts.enabled():
                 contracts.check_filter_result(filter_result)
 
-            gmcr = cache.get(STAGE_MAP, fingerprint) if reuse else None
             if gmcr is None:
                 with tracer.span("stage:mapping", category="stage") as stage_sp:
                     with timer.stage("mapping"):
@@ -91,7 +88,9 @@ def run_pipeline(
                         ):
                             gmcr = build_gmcr(filter_result.bitmap, query, data)
                     stage_sp.set(pairs=gmcr.n_pairs)
-                cache.put(STAGE_MAP, fingerprint, _fresh_matched(gmcr))
+                store_artifacts(
+                    query, data, config, key, filter_result, _fresh_matched(gmcr)
+                )
             else:
                 gmcr = _fresh_matched(gmcr)
             if contracts.enabled():
@@ -140,8 +139,8 @@ def run_pipeline(
 def _fresh_matched(gmcr: GMCR) -> GMCR:
     """The GMCR with its own copy of the ``matched`` flags.
 
-    ``matched`` is the one part of a query-side artifact the join
-    mutates: the cached copy keeps pristine (all-False) flags, and each
+    ``matched`` is the one part of a stored artifact the join
+    mutates: the stored copy keeps pristine (all-False) flags, and each
     recalled GMCR gets a fresh array, so a resumed run's Find First flags
     cover exactly the pairs *it* joined.
     """

@@ -647,7 +647,7 @@ def _run_segments(
     number of budgeted segments it took.  The range is converted once,
     so its segments share the batch's cached views and signatures, and
     a resumed segment recalls the refine/map artifacts (and the plans on
-    the bitmap) from the session.
+    the bitmap) from the batch.
     """
     payload = ChunkPayload(start=task.start, stop=task.stop)
     batch = CSRGO.from_graphs(chunk)

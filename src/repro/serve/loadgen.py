@@ -5,8 +5,8 @@ sets are matched over and over while a long tail is touched once.  The
 generator models that with a Zipf draw over a *pool of data batches* —
 and, crucially for the serving layer's warm path, repeated draws return
 the *same list object*, so the session's identity-keyed conversion cache
-and the fingerprint-keyed artifact cache both hit exactly as they would
-for a real repeated client.
+hits, and with it the refine/map artifacts stored on the converted
+batch, exactly as they would for a real repeated client.
 
 The loop is *closed*: each simulated client submits, awaits the typed
 response (optionally following resume chains of partial responses), then

@@ -713,8 +713,8 @@ class MatchService:
 
         A single-ticket batch passes the request's *own list object*
         through, preserving its identity for the session's data-cache
-        (and its content hash for the artifact cache) — the warm path
-        repeated clients rely on.
+        (and so the artifacts stored on its converted batch) — the warm
+        path repeated clients rely on.
         """
         if len(tickets) == 1:
             return tickets[0].request.data, [0, tickets[0].n_graphs]

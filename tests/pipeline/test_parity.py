@@ -19,7 +19,8 @@ from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.core.engine import SigmoEngine
 from repro.core.join import JoinStats
-from repro.pipeline import ArtifactCache, RetryPolicy, run_pipeline
+from repro.pipeline import RetryPolicy, run_pipeline
+from repro.pipeline.artifacts import ArtifactStats
 from repro.runtime.faults import FaultPlan
 from repro.runtime.resilient import run_resilient
 
@@ -133,8 +134,8 @@ class TestDriverParity:
             "find-all",
             join_budget=None,
             join_start_pair=0,
-            cache=ArtifactCache(),
             reuse=False,
+            stats=ArtifactStats(),
         )
         assert result.total_matches == reference.total_matches
         assert result.matched_pairs() == reference.matched_pairs()

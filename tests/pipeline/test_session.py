@@ -63,7 +63,7 @@ class TestSessionReuse:
         session = MatcherSession(dataset.queries, config=config)
         session.match(dataset.data)
         stats = session.artifact_stats.as_dict()
-        assert stats["hits"] == 0 and stats["stores"] == 2
+        assert stats == {"hits": 0, "misses": 2}
         session.match(dataset.data)
         stats = session.artifact_stats.as_dict()
         assert stats["hits"] == 2  # FilterResult + GMCR recalled
@@ -102,9 +102,14 @@ class TestSessionReuse:
                     refinement_iterations=ITERATIONS + 2, record_embeddings=True
                 ),
             )
-        # Different filter-affecting config ⇒ different fingerprint ⇒ the
-        # filter runs again (and its result is cached separately).
+        # Different filter-affecting config ⇒ different filter key ⇒ the
+        # filter runs again, and its artifacts replace the batch's slot.
         assert len(t.find("stage:filter")) == 1
+        assert session.artifact_stats.as_dict() == {"hits": 0, "misses": 4}
+        with tracing() as back:
+            session.match(dataset.data)
+        assert len(back.find("stage:filter")) == 1
+        assert session.artifact_stats.as_dict() == {"hits": 0, "misses": 6}
         fresh = SigmoEngine(
             dataset.queries,
             dataset.data,
@@ -113,6 +118,37 @@ class TestSessionReuse:
             ),
         ).run()
         assert_same_result(other, fresh)
+
+    def test_query_batches_keep_separate_slots_on_one_data_batch(
+        self, dataset, config
+    ):
+        data = CSRGO.from_graphs(dataset.data)
+        halves = (dataset.queries[:3], dataset.queries[3:])
+        sessions = [MatcherSession(q, config=config) for q in halves]
+        for session in sessions:
+            session.match(data)
+        for session, queries in zip(sessions, halves):
+            assert session.artifact_stats.as_dict() == {"hits": 0, "misses": 2}
+            warm = session.match(data)
+            assert session.artifact_stats.as_dict() == {"hits": 2, "misses": 2}
+            assert_same_result(warm, SigmoEngine(queries, dataset.data, config).run())
+        assert len([k for k in data.derived if k[0] == "artifacts"]) == 2
+
+    def test_reuse_false_chunks_leave_nothing_alive(self, dataset, config):
+        import gc
+        import weakref
+
+        session = MatcherSession(dataset.queries, config=config)
+        bitmaps = []
+        for lo in range(0, 24, 2):
+            result = session.match(dataset.data[lo : lo + 2], reuse=False)
+            bitmaps.append(weakref.ref(result.filter_result.bitmap.words))
+        del result
+        gc.collect()
+        assert len(bitmaps) == 12
+        assert [ref for ref in bitmaps if ref() is not None] == []
+        assert len(session._data_cache) == 0
+        assert session.artifact_stats.as_dict() == {"hits": 0, "misses": 0}
 
     def test_different_data_batches_stream_through_one_session(
         self, dataset, config
@@ -193,9 +229,9 @@ class TestIterationSweep:
         plain = engine.run()
         assert sweep[ITERATIONS].total_matches == plain.total_matches
         # Repeating a sweep point on the same engine recalls its artifacts.
-        hits_before = engine._artifacts.stats.hits
+        hits_before = engine._session.artifact_stats.hits
         engine.run_iteration_sweep([ITERATIONS])
-        assert engine._artifacts.stats.hits > hits_before
+        assert engine._session.artifact_stats.hits > hits_before
 
     def test_sweep_accepts_mode_and_budget(self, dataset, config):
         engine = SigmoEngine(dataset.queries, dataset.data, config)
@@ -243,9 +279,9 @@ class TestConcurrentReuse:
         assert not errors
         for result in results:
             assert_same_result(result, fresh)
-        # the cache converged to exactly one stored artifact pair
+        # only the first call computed (and stored) the artifact pair
         stats = session.artifact_stats.as_dict()
-        assert stats["stores"] == 2
+        assert stats["misses"] == 2
 
     def test_concurrent_distinct_batches_stay_isolated(self, dataset, config):
         import threading

@@ -1,4 +1,4 @@
-"""Unit tests of the artifact cache, its fingerprint, and the pool policies."""
+"""Unit tests of the artifact slot, its filter key, and the pool policies."""
 
 import dataclasses
 
@@ -7,57 +7,14 @@ import pytest
 from repro.core.config import SigmoConfig
 from repro.core.csrgo import CSRGO
 from repro.graph.generators import random_connected_graph
-from repro.pipeline import (
-    ArtifactCache,
-    RetryPolicy,
-    derive_n_labels,
+from repro.pipeline import RetryPolicy, derive_n_labels, partition_slices
+from repro.pipeline.artifacts import (
     filter_fingerprint,
-    partition_slices,
+    recall_artifacts,
+    store_artifacts,
 )
 
 pytestmark = pytest.mark.pipeline
-
-
-class TestArtifactCache:
-    def test_hit_miss_store_counters(self):
-        cache = ArtifactCache()
-        assert cache.get("refine", ("x",)) is None
-        cache.put("refine", ("x",), 1)
-        assert cache.get("refine", ("x",)) == 1
-        assert cache.stats.as_dict() == {
-            "hits": 1, "misses": 1, "evictions": 0, "stores": 1,
-        }
-
-    def test_lru_eviction_order(self):
-        cache = ArtifactCache(max_entries=2)
-        cache.put("refine", ("a",), "A")
-        cache.put("refine", ("b",), "B")
-        cache.get("refine", ("a",))  # refresh a; b is now the LRU entry
-        cache.put("refine", ("c",), "C")
-        assert cache.get("refine", ("a",)) is not None
-        assert cache.get("refine", ("b",)) is None
-        assert cache.stats.evictions == 1
-        assert len(cache) == 2
-
-    def test_reinsert_refreshes_value_and_recency(self):
-        cache = ArtifactCache(max_entries=2)
-        cache.put("refine", ("a",), 1)
-        cache.put("refine", ("b",), "B")
-        cache.put("refine", ("a",), 2)  # refresh: a is now newest
-        cache.put("refine", ("c",), "C")  # evicts b
-        assert cache.get("refine", ("a",)) == 2
-        assert cache.get("refine", ("b",)) is None
-
-    def test_clear_keeps_stats(self):
-        cache = ArtifactCache()
-        cache.put("refine", ("a",), "A")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.stores == 1
-
-    def test_bound_validated(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            ArtifactCache(max_entries=0)
 
 
 class TestFingerprint:
@@ -76,31 +33,54 @@ class TestFingerprint:
         query, data = batches
         config = SigmoConfig(refinement_iterations=3)
         n = derive_n_labels(query, data, config.wildcard_label)
-        base = filter_fingerprint(query, data, n, config)
-        assert base == filter_fingerprint(query, data, n, config)
+        base = filter_fingerprint(n, config)
+        assert base == filter_fingerprint(n, config)
         for change in (
             {"refinement_iterations": 4},
             {"word_bits": 32 if config.word_bits == 64 else 64},
             {"edge_signatures": not config.edge_signatures},
         ):
             other = dataclasses.replace(config, **change)
-            assert filter_fingerprint(query, data, n, other) != base
+            assert filter_fingerprint(n, other) != base
 
     def test_insensitive_to_join_knobs(self, batches):
         query, data = batches
         config = SigmoConfig(refinement_iterations=3)
         n = derive_n_labels(query, data, config.wildcard_label)
-        base = filter_fingerprint(query, data, n, config)
+        base = filter_fingerprint(n, config)
         other = dataclasses.replace(config, record_embeddings=True)
-        assert filter_fingerprint(query, data, n, other) == base
+        assert filter_fingerprint(n, other) == base
 
     def test_sensitive_to_batch_content(self, batches):
+        # The slot lives on the data batch object and is keyed by the
+        # query batch's content: no other pairing recalls it.
         query, data = batches
         config = SigmoConfig(refinement_iterations=3)
         n = derive_n_labels(query, data, config.wildcard_label)
-        assert filter_fingerprint(query, data, n, config) != filter_fingerprint(
-            data, query, n, config
+        key = filter_fingerprint(n, config)
+        store_artifacts(query, data, config, key, "filter", "gmcr")
+        assert recall_artifacts(query, data, config, key) == ("filter", "gmcr")
+        assert recall_artifacts(data, data, config, key) is None
+        assert recall_artifacts(query, query, config, key) is None
+        rebuilt = CSRGO(
+            data.graph_offsets,
+            data.row_offsets,
+            data.column_indices,
+            data.labels,
+            data.adj_edge_labels,
         )
+        assert rebuilt.content_hash() == data.content_hash()
+        assert recall_artifacts(query, rebuilt, config, key) is None
+
+    def test_store_replaces_the_slot(self, batches):
+        query, data = batches
+        config = SigmoConfig(refinement_iterations=3)
+        other = dataclasses.replace(config, refinement_iterations=4)
+        n = derive_n_labels(query, data, config.wildcard_label)
+        store_artifacts(query, data, config, filter_fingerprint(n, config), 1, 1)
+        store_artifacts(query, data, other, filter_fingerprint(n, other), 2, 2)
+        assert recall_artifacts(query, data, config, filter_fingerprint(n, config)) is None
+        assert recall_artifacts(query, data, other, filter_fingerprint(n, other)) == (2, 2)
 
 
 class TestPolicies:

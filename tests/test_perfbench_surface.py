@@ -2,7 +2,8 @@
 
 ``perfbench/layers.py`` times each layer by replacing the attribute at
 every boundary in ``BOUNDARIES`` for the traced pass, and
-``perfbench/run.py`` reads the signature/plan cache counters.  A rename
+``perfbench/run.py`` reads the signature/plan cache counters and the
+session's artifact counters.  A rename
 or deletion of any of these names breaks the benchmark, not the
 program, so it is pinned here.  The benchmark files are only read
 (``BOUNDARIES`` is parsed, not imported).
@@ -53,3 +54,19 @@ def test_memo_counters_perfbench_reads():
     memo.clear_accel_caches()
     for counter in (memo.plan_memo(), memo.signature_memo()):
         assert (counter.stats.hits, counter.stats.misses) == (0, 0)
+
+
+def test_session_artifact_counters_perfbench_reads():
+    # perfbench's cold check: a new chunk misses both artifacts, and each
+    # resume (here: a repeat of the same batch) recalls both.
+    from repro.graph.generators import path_graph
+    from repro.pipeline import MatcherSession
+
+    session = MatcherSession([path_graph([0, 1])])
+    data = [path_graph([0, 1, 0])]
+    stats = session.artifact_stats
+    assert (stats.hits, stats.misses) == (0, 0)
+    session.match(data)
+    assert (stats.hits, stats.misses) == (0, 2)
+    session.match(data)
+    assert (stats.hits, stats.misses) == (2, 2)

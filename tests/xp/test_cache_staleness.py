@@ -2,7 +2,7 @@
 
 Every artifact cache — the local/batch CSR views and signature counts
 cached on a ``CSRGO``, the plans cached on a candidate bitmap, the
-pipeline artifact cache, and the serving pool — keys on the active
+refine/map artifact slot on a data batch, and the serving pool — keys on the active
 backend, so switching backends mid-session can never serve arrays (or
 compiled plans) built by a different backend.
 """
@@ -54,9 +54,7 @@ class TestFingerprints:
     def test_filter_fingerprint_includes_backend(self, data):
         numpy_cfg = SigmoConfig()
         instr_cfg = numpy_cfg.with_array_backend("instrumented")
-        assert filter_fingerprint(data, data, 4, numpy_cfg) != (
-            filter_fingerprint(data, data, 4, instr_cfg)
-        )
+        assert filter_fingerprint(4, numpy_cfg) != filter_fingerprint(4, instr_cfg)
 
     def test_session_never_reuses_other_backend_artifacts(self):
         dataset = build_benchmark(
